@@ -63,13 +63,18 @@ def _partition_path(cfg: ExperimentConfig) -> Path:
     return cfg.out_dir / "partition.json"
 
 
-def load_partition(cfg: ExperimentConfig) -> data.ClientPartition:
+def load_partition(cfg: ExperimentConfig, train: data.LabeledDataset) -> data.ClientPartition:
     path = _partition_path(cfg)
     if not path.exists():
         raise ConfigError(
             f"partition file {path} does not exist; run `fedmoe partition --config ...` first"
         )
     blob = json.loads(path.read_text())
+    if blob["dataset_size"] != len(train):
+        raise ConfigError(
+            f"partition file {path} covers {blob['dataset_size']} training examples but the configured "
+            f"dataset has {len(train)}; re-run `fedmoe partition --config ...`"
+        )
     return data.ClientPartition(tuple(tuple(c) for c in blob["clients"]))
 
 
@@ -110,7 +115,7 @@ def cmd_partition(cfg: ExperimentConfig) -> int:
 
 def cmd_fedavg(cfg: ExperimentConfig) -> int:
     train, test = build_datasets(cfg)
-    partition = load_partition(cfg)
+    partition = load_partition(cfg, train)
 
     def eval_fn(params: models.ModelParams) -> float:
         return evaluation.global_test(lambda x: models.forward(params, x), test)
@@ -218,7 +223,6 @@ class _TestSetEvaluator:
         self.test = test
         self.split = split
         self._features: Tensor | None = None
-        self._raw_flat: np.ndarray | None = None
 
     @property
     def features(self) -> Tensor:
@@ -230,12 +234,6 @@ class _TestSetEvaluator:
             self._features = Tensor._wrap(np.concatenate([c.data for c in chunks]))
         return self._features
 
-    @property
-    def raw_flat(self) -> np.ndarray:
-        if self._raw_flat is None:
-            self._raw_flat = self.test.features.data.reshape(len(self.test), -1)
-        return self._raw_flat
-
     def per_class_accuracy(self, kind: str, payload) -> np.ndarray:
         if kind == "full":
             params = models.ModelParams(self.cfg.model, dict(payload))
@@ -243,25 +241,17 @@ class _TestSetEvaluator:
             return evaluation.per_class_accuracy(predictor, self.test)
         if kind == "classifier":
             logits = models.classify(self.split, self.features, classifier=dict(payload))
-            pred = np.argmax(logits.data, axis=1)
         else:
-            client = payload
-            glob = models.classify(self.split, self.features)
-            loc = models.classify(self.split, self.features, classifier=client.personalized)
-            v = self.raw_flat if client.gate.input_mode == "raw" else self.features.data
-            g = models.gate_forward(client.gate, Tensor._wrap(v))
-            pred = np.argmax(models.mix_outputs(g, glob, loc).data, axis=1)
-        correct = np.bincount(self.test.labels[pred == self.test.labels], minlength=self.test.classes)
-        counts = self.test.class_counts()
-        with np.errstate(invalid="ignore"):
-            return np.where(counts > 0, correct / np.maximum(counts, 1), np.nan)
+            _, logits = personalization.mixture(payload, self.test.features, self.features)
+        pred = np.argmax(logits.data, axis=1)
+        return evaluation.per_class_accuracy_from_predictions(pred, self.test)
 
 
 def cmd_personalize(cfg: ExperimentConfig, algorithm: str) -> int:
     if algorithm not in personalization.ALGORITHMS:
         raise ConfigError(f"algorithm: expected one of {personalization.ALGORITHMS}, got {algorithm!r}")
     train, test = build_datasets(cfg)
-    partition = load_partition(cfg)
+    partition = load_partition(cfg, train)
     ckpt_path = cfg.out_dir / "checkpoint.ckpt"
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint {ckpt_path} does not exist; run `fedmoe fedavg --config ...` first")

@@ -55,7 +55,11 @@ def per_class_accuracy(predictor: Predictor, test_set: LabeledDataset) -> np.nda
     Computing this once per predictor and reusing it across clients is
     bit-identical to recomputing inside every local_test call.
     """
-    pred = predict_labels(predictor, test_set)
+    return per_class_accuracy_from_predictions(predict_labels(predictor, test_set), test_set)
+
+
+def per_class_accuracy_from_predictions(pred: np.ndarray, test_set: LabeledDataset) -> np.ndarray:
+    """Per-class accuracy of predicted labels for the test set's examples."""
     correct = np.bincount(test_set.labels[pred == test_set.labels], minlength=test_set.classes)
     counts = test_set.class_counts()
     with np.errstate(invalid="ignore"):
@@ -69,7 +73,10 @@ def local_test_from_per_class(per_class_acc: np.ndarray, ratios: np.ndarray) -> 
     if np.isnan(per_class_acc[active]).any():
         missing = np.flatnonzero(active & np.isnan(per_class_acc))
         raise EvaluationError(f"classes {missing.tolist()} have training ratio > 0 but no test examples")
-    return float(np.sum(ratios[active] * per_class_acc[active]))
+    # Ratios that sum to one can sum to one plus a rounding error (counts
+    # 27/4/5/10 of 46 do), so a client whose classes are all predicted right
+    # would score above 1.
+    return min(float(np.sum(ratios[active] * per_class_acc[active])), 1.0)
 
 
 def local_test(predictor: Predictor, test_set: LabeledDataset, ratios: np.ndarray) -> float:

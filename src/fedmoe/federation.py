@@ -81,6 +81,35 @@ def derive_seed(root: int, *key: int) -> int:
     return int(np.random.SeedSequence(root, spawn_key=tuple(key)).generate_state(1, np.uint64)[0])
 
 
+# Maps (fresh parameter leaves, batch indices) to the batch's recorded scalar loss.
+LossFn = Callable[[dict[str, graph.Value], np.ndarray], graph.Value]
+
+
+def sgd_epoch(
+    params: dict[str, Tensor],
+    n: int,
+    batch_size: int,
+    loss_fn: LossFn,
+    state: OptimizerState,
+    cfg: SgdConfig,
+    rng: np.random.Generator,
+) -> dict[str, Tensor]:
+    """One pass of minibatch SGD over n examples in a seeded shuffled order.
+
+    Every trainer in the package runs through this loop: the full model, the
+    personalized classifier head and the gate differ only in ``loss_fn``.
+    """
+    names = list(params)
+    order = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        leaves = param_leaves(params)
+        loss = loss_fn(leaves, order[start : start + batch_size])
+        grads = graph.gradient(loss, [leaves[k] for k in names])
+        params = sgd_step(params, dict(zip(names, grads)), state, cfg)
+    state.epoch += 1
+    return params
+
+
 def sgd_epochs(
     params: dict[str, Tensor],
     spec: ModelSpec,
@@ -90,22 +119,14 @@ def sgd_epochs(
     batch_size: int,
     cfg: SgdConfig,
     rng: np.random.Generator,
-    state: OptimizerState | None = None,
 ) -> dict[str, Tensor]:
-    """Minibatch SGD over (features, labels) with a seeded shuffle per epoch."""
-    state = state if state is not None else OptimizerState()
-    names = list(params)
-    n = len(labels)
+    """Full-model minibatch SGD on the cross-entropy of (features, labels)."""
+    def loss_fn(leaves, batch):
+        return graph.cross_entropy(forward_graph(spec, leaves, graph.leaf(features[batch])), labels[batch])
+
+    state = OptimizerState()
     for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            leaves = param_leaves(params)
-            logits = forward_graph(spec, leaves, graph.leaf(features[batch]))
-            loss = graph.cross_entropy(logits, labels[batch])
-            grads = graph.gradient(loss, [leaves[k] for k in names])
-            params = sgd_step(params, dict(zip(names, grads)), state, cfg)
-        state.epoch += 1
+        params = sgd_epoch(params, len(labels), batch_size, loss_fn, state, cfg, rng)
     return params
 
 

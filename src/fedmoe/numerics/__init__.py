@@ -1,38 +1,18 @@
-"""Tensor values, layers with analytic gradients, losses, and SGD."""
+"""Tensor values, raw kernels, the recorded graph with analytic gradients, and SGD."""
 
 from .tensor import Tensor, tensor, zeros, allclose
-from .ops import (
-    ACTIVATION_KINDS,
-    activations,
-    conv2d_forward,
-    cross_entropy_loss,
-    dense_forward,
-    max_pool2x2,
-    relu,
-    sigmoid,
-    softmax,
-)
 from .graph import Value, leaf, gradient
 from .optim import OptimizerState, SgdConfig, sgd_step
 
 __all__ = [
-    "ACTIVATION_KINDS",
     "OptimizerState",
     "SgdConfig",
     "Tensor",
     "Value",
-    "activations",
     "allclose",
-    "conv2d_forward",
-    "cross_entropy_loss",
-    "dense_forward",
     "gradient",
     "leaf",
-    "max_pool2x2",
-    "relu",
     "sgd_step",
-    "sigmoid",
-    "softmax",
     "tensor",
     "zeros",
 ]

@@ -1,4 +1,4 @@
-"""Raw ndarray math shared by the pure ops and the recorded graph.
+"""Raw ndarray math behind the recorded graph and the inference paths.
 
 Everything here is float64 in, float64 out, with no shape validation;
 callers are responsible for conformance checks.

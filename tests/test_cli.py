@@ -117,6 +117,17 @@ class TestFedavgCommand:
         err = capsys.readouterr().err
         assert "partition" in err and "fedmoe partition" in err
 
+    @pytest.mark.parametrize("per_class", [30, 50], ids=["fewer_examples", "more_examples"])
+    def test_partition_of_another_dataset_size_is_rejected(self, workspace, capsys, per_class):
+        config, out = workspace
+        run(["partition", "--config", config])
+        run(["fedavg", "--config", config])
+        config.write_text(CONFIG.format(out=out).replace("\nper_class = 40", f"\nper_class = {per_class}"))
+        for command in (["fedavg"], ["personalize", "--algorithm", "pfl_fb"]):
+            assert cli.main(command + ["--config", str(config)]) == 2
+            err = capsys.readouterr().err
+            assert "partition.json" in err and "fedmoe partition" in err
+
 
 class TestPersonalizeCommand:
     def test_metrics_schema_per_algorithm(self, workspace):
@@ -130,24 +141,38 @@ class TestPersonalizeCommand:
         assert fb_header == "run_id,algorithm,client_id,local_acc,global_acc,seed"
         assert mf_header == "run_id,algorithm,client_id,local_acc,global_acc,seed,mean_g"
 
-    def test_artifacts_reload_and_reproduce_predictions(self, workspace):
+    @pytest.mark.parametrize("algorithm", ["pfl_fb", "pfl_mf", "pfl_mfe"])
+    def test_artifacts_reload_and_reproduce_predictions(self, workspace, algorithm):
+        # Every client's recorded global accuracy, recomputed from its saved
+        # artifacts through the library's inference path.
         config, out = workspace
         run(["partition", "--config", config])
         run(["fedavg", "--config", config])
-        run(["personalize", "--config", config, "--algorithm", "pfl_fb"])
-        from fedmoe import models
+        run(["personalize", "--config", config, "--algorithm", algorithm])
+        from fedmoe import models, personalization
         from fedmoe.config import load_config
 
         cfg = load_config(config)
         _, test = cli.build_datasets(cfg)
         global_params, _ = checkpoint.load_model(out / "checkpoint.ckpt")
         split = models.split_model(global_params)
-        tensors, manifest = checkpoint.load_tensors(out / "clients" / "pfl_fb" / "client_0.ckpt")
-        assert manifest["client_id"] == 0
         feats = models.extract_features(split, test.features)
-        logits_a = models.classify(split, feats, classifier=tensors)
-        logits_b = models.classify(split, feats, classifier=tensors)
-        assert np.array_equal(logits_a.data, logits_b.data)
+        records = evaluation.read_metrics_csv(out / f"metrics_{algorithm}.csv")
+        assert [r.client_id for r in records] == list(range(6))
+        for record in records:
+            path = out / "clients" / algorithm / f"client_{record.client_id}.ckpt"
+            tensors, manifest = checkpoint.load_tensors(path)
+            assert manifest["client_id"] == record.client_id
+            head = {k: tensors[k] for k in split.classifier}
+            if algorithm == "pfl_fb":
+                logits = models.classify(split, feats, classifier=head)
+            else:
+                bias = float(tensors["gate.bias"].data[0])
+                gate = models.GatingParams(tensors["gate.weight"], bias, manifest["gate_input_mode"])
+                client = personalization.PersonalizedClient(record.client_id, algorithm, head, gate, split)
+                _, logits = personalization.mixture(client, test.features, feats)
+            acc = float((logits.data.argmax(axis=1) == test.labels).mean())
+            assert acc == pytest.approx(record.global_acc, abs=1e-10)
 
     def test_missing_checkpoint_is_actionable(self, workspace, capsys):
         config, out = workspace

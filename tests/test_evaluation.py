@@ -132,6 +132,14 @@ class TestLocalTest:
             v = evaluation.local_test_from_per_class(acc, ratios)
             assert np.nanmin(acc) - 1e-12 <= v <= np.nanmax(acc) + 1e-12
 
+    def test_perfect_accuracy_is_recordable_when_ratios_round_above_one(self):
+        # Class counts 27/4/5/10 of 46: the weighted sum of the four ratios
+        # rounds to 1 + 2.2e-16.
+        ratios = evaluation.class_ratios(np.repeat(np.arange(4), [27, 4, 5, 10]), 10)
+        local = evaluation.local_test_from_per_class(np.ones(10), ratios)
+        assert local == 1.0
+        assert evaluation.MetricsRecord("r", "pfl_fb", 0, local, 1.0, 0).local_acc == 1.0
+
 
 class TestSummarize:
     def rec(self, alg, client, local, glob, run="r", seed=0):

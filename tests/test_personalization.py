@@ -4,7 +4,7 @@ import pytest
 import oracles
 from fedmoe import data, evaluation, federation, models, personalization
 from fedmoe.errors import ConfigError, UsageError
-from fedmoe.numerics import SgdConfig, Tensor, cross_entropy_loss, graph
+from fedmoe.numerics import SgdConfig, Tensor, graph, kernels
 from fedmoe.numerics.optim import OptimizerState, sgd_step
 
 SPEC = models.ModelSpec("mlp", channels=1, classes=4, hidden_sizes=(12,))
@@ -33,6 +33,17 @@ def global_model(seed=11):
         params.tensors, SPEC, ds.features.data, ds.labels, 12, 16, SgdConfig(learning_rate=0.1), rng
     )
     return models.ModelParams(SPEC, trained), ds
+
+
+def fit_gate(mode, inputs, global_logits, local_logits, labels, cfg, seed):
+    """A zero-initialized gate trained on frozen expert logits with the
+    production gate loss and SGD epoch."""
+    gate = {"weight": models.init_gate(SPEC, mode).weights, "bias": Tensor(np.zeros(1))}
+    loss_fn = personalization.gate_loss(inputs, global_logits, local_logits, labels)
+    state, rng = OptimizerState(), np.random.default_rng(seed)
+    for _ in range(cfg.epochs):
+        gate = federation.sgd_epoch(gate, len(labels), cfg.batch_size, loss_fn, state, cfg.gate_sgd(), rng)
+    return models.GatingParams(gate["weight"], float(gate["bias"].data[0]), mode)
 
 
 class TestLocalBaseline:
@@ -83,7 +94,7 @@ class TestPflFt:
             out = personalization.pfl_ft(params, ds, pcfg("pfl_ft", epochs=1, adapt_lr=0.02), seed=7)
             params = models.ModelParams(SPEC, out.personalized)
             logits = models.forward(params, ds.features)
-            losses.append(cross_entropy_loss(logits, ds.labels))
+            losses.append(kernels.cross_entropy(logits.data, ds.labels))
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
 
@@ -120,7 +131,7 @@ class TestPflFb:
         def f(arrs):
             params = {k: Tensor(a) for k, a in zip(names, arrs)}
             out = models.classify(split, Tensor(feats), classifier=params)
-            return cross_entropy_loss(out, ds.labels)
+            return kernels.cross_entropy(out.data, ds.labels)
 
         numeric = oracles.finite_difference(f, arrays, step=1e-5)
         assert oracles.max_relative_error(analytic, numeric) < 1e-4
@@ -136,7 +147,8 @@ class TestTrainGate:
     def test_identical_experts_leave_gate_at_init(self):
         glob, ds = global_model()
         cfg = pcfg("pfl_mf", epochs=3)
-        gate = personalization.train_gate(glob, glob, ds, cfg, "raw", seed=10)
+        logits = models.forward(glob, ds.features).data
+        gate = fit_gate("raw", ds.features.data.reshape(len(ds), -1), logits, logits, ds.labels, cfg, seed=10)
         assert np.abs(gate.weights.data).max() == 0.0
         assert gate.bias == 0.0
 
@@ -145,30 +157,38 @@ class TestTrainGate:
         local, _ = global_model(seed=15)
         ds = client_dataset(seed=7, per_class=8)
         cfg_batch = len(ds)
+        glog = models.forward(glob, ds.features).data
+        llog = models.forward(local, ds.features).data
+        v = ds.features.data.reshape(len(ds), -1)
 
-        def gate_loss(gate):
-            glog = models.forward(glob, ds.features).data
-            llog = models.forward(local, ds.features).data
-            v = ds.features.data.reshape(len(ds), -1)
+        def mixed_loss(gate):
             g = models.gate_forward(gate, Tensor._wrap(v))
             mixed = models.mix_outputs(g, Tensor._wrap(glog), Tensor._wrap(llog))
-            return cross_entropy_loss(mixed, ds.labels)
+            return kernels.cross_entropy(mixed.data, ds.labels)
 
         losses = []
         for epochs in (1, 2, 3, 4):
-            gate = personalization.train_gate(
-                glob, local, ds, pcfg("pfl_mf", epochs=epochs, batch_size=cfg_batch), "raw", seed=11
-            )
-            losses.append(gate_loss(gate))
+            cfg = pcfg("pfl_mf", epochs=epochs, batch_size=cfg_batch)
+            losses.append(mixed_loss(fit_gate("raw", v, glog, llog, ds.labels, cfg, seed=11)))
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
     def test_feature_mode_dimensions(self):
+        # Each gate reads its own input kind; a feature-reading gate given no
+        # features extracts the same ones the caller would have passed.
         glob, ds = global_model()
+        split = models.split_model(glob)
+        feats = models.extract_features(split, ds.features)
+        s = data.split_per_gate(range(len(ds)), ratio=0.8, seed=0)
+        per, gate_ds = ds.subset(s.per_indices), ds.subset(s.gate_indices)
         cfg = pcfg("pfl_mf", epochs=1)
-        raw_gate = personalization.train_gate(glob, glob, ds, cfg, "raw", seed=12)
-        feat_gate = personalization.train_gate(glob, glob, ds, cfg, "feature", seed=12)
-        assert raw_gate.input_dim == SPEC.raw_input_dim
-        assert feat_gate.input_dim == SPEC.feature_dim
+        for run, dim in ((personalization.run_pfl_mf, SPEC.raw_input_dim),
+                         (personalization.run_pfl_mfe, SPEC.feature_dim)):
+            client = run(0, per, gate_ds, split, cfg, seed=12)
+            assert client.gate.input_dim == dim
+            g, logits = personalization.mixture(client, ds.features)
+            g_given, _ = personalization.mixture(client, ds.features, feats)
+            assert logits is None and g.shape == (len(ds),)
+            assert np.array_equal(g.data, g_given.data)
 
 
 class TestMoeRuns:
@@ -339,16 +359,9 @@ class TestGateSafety:
         glog = models.classify(split, Tensor._wrap(feats)).data
         llog = models.classify(split, Tensor._wrap(feats), classifier=corrupted).data
 
-        w, b = models.init_gate(SPEC, "raw").weights, Tensor(np.zeros(1))
-        state = OptimizerState()
-        gate_rng = np.random.default_rng(7)
         inputs = gate_ds.features.data.reshape(len(gate_ds), -1)
-        for _ in range(30):
-            w, b = personalization._gate_pass(
-                w, b, inputs, glog, llog, gate_ds.labels, 16,
-                SgdConfig(learning_rate=0.1), state, gate_rng,
-            )
-        gate = models.GatingParams(w, float(b.data[0]), "raw")
+        cfg = pcfg("pfl_mf", epochs=30, batch_size=16, gate_lr=0.1)
+        gate = fit_gate("raw", inputs, glog, llog, gate_ds.labels, cfg, seed=7)
         client = personalization.PersonalizedClient(0, "pfl_mf", corrupted, gate, split)
         assert personalization.mean_gate_weight(client, gate_ds) > 0.5
 
