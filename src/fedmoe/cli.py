@@ -207,11 +207,10 @@ def _personalize_one(
     per_ds = train.subset(client_split.per_indices)
     gate_ds = train.subset(client_split.gate_indices)
     client = run(client_id, per_ds, gate_ds, split, pcfg, seed)
-    mean_g = personalization.mean_gate_weight(client, gate_ds)
     artifact = dict(client.personalized)
     artifact["gate.weight"] = client.gate.weights
     artifact["gate.bias"] = Tensor(np.array([client.gate.bias]))
-    return ("moe", client), artifact, mean_g
+    return ("moe", client), artifact, client.mean_g
 
 
 class _TestSetEvaluator:
@@ -348,7 +347,7 @@ def cmd_selftest() -> int:
     """Quick built-in property checks; exits nonzero if any fails."""
     import tempfile
 
-    from .numerics import SgdConfig, graph
+    from .numerics import SgdConfig, graph, kernels
     from .numerics.optim import OptimizerState, sgd_step
 
     failures = 0
@@ -380,6 +379,41 @@ def cmd_selftest() -> int:
             nflat[i] = (up - down) / 2e-5
         worst = max(worst, float(np.max(np.abs(got - num) / np.maximum(1.0, np.abs(num)))))
     check(f"gradient matches finite differences (max rel err {worst:.2e})", worst < 1e-4)
+
+    # Conv and pool kernels at the LeNet-5 conv2 shape against direct
+    # references: one shifted slice per kernel offset (p, q), contracted over
+    # channels with tensordot.
+    x, k, b = rng.normal(size=(2, 6, 14, 14)), rng.normal(size=(16, 6, 5, 5)), rng.normal(size=16)
+    dy = rng.normal(size=(2, 16, 10, 10))
+    want = {
+        "conv2d": np.broadcast_to(b[None, :, None, None], dy.shape).copy(),
+        "conv2d_input_grad": np.zeros_like(x),
+        "conv2d_kernel_grad": np.empty_like(k),
+    }
+    for p in range(5):
+        for q in range(5):
+            window = x[:, :, p : p + 10, q : q + 10]
+            want["conv2d"] += np.tensordot(window, k[:, :, p, q], axes=([1], [1])).transpose(0, 3, 1, 2)
+            want["conv2d_input_grad"][:, :, p : p + 10, q : q + 10] += np.tensordot(
+                dy, k[:, :, p, q], axes=([1], [0])
+            ).transpose(0, 3, 1, 2)
+            want["conv2d_kernel_grad"][:, :, p, q] = np.tensordot(dy, window, axes=([0, 2, 3], [0, 2, 3]))
+    got = {
+        "conv2d": kernels.conv2d(x, k, b),
+        "conv2d_input_grad": kernels.conv2d_input_grad(dy, k),
+        "conv2d_kernel_grad": kernels.conv2d_kernel_grad(x, dy, (5, 5)),
+    }
+    for name, ref in want.items():
+        err = float(np.abs(got[name] - ref).max() / np.abs(ref).max())
+        check(f"{name} matches the shifted-slice reference (rel err {err:.2e})", err < 1e-12)
+    # dy as pool input: normal draws, so no window holds a tie.
+    pooled, routing = kernels.max_pool2x2(dy)
+    ref = dy.reshape(2, 16, 5, 2, 5, 2).max(axis=(3, 5))
+    dp = rng.normal(size=ref.shape)
+    up = lambda v: v.repeat(2, axis=2).repeat(2, axis=3)
+    check("max_pool2x2 matches the window maxima", np.array_equal(pooled, ref))
+    check("max_pool2x2_grad routes each gradient to its window maximum",
+          np.array_equal(kernels.max_pool2x2_grad(dp, routing), (dy == up(ref)) * up(dp)))
 
     # Partition properties.
     ds = data.make_synthetic(classes=5, per_class=20, seed=1, side=8)

@@ -3,6 +3,11 @@
 A forward pass builds :class:`Value` nodes (dense, conv, activations, loss,
 expert mixing); :func:`gradient` then walks the recorded graph backwards and
 returns analytic gradients for the requested parameter nodes.
+
+Each node's ``_backward(g, needed)`` maps the upstream gradient to one
+gradient per parent; ``needed`` flags the parents that lie on a path to a
+requested node, and an op may return None for the others instead of
+computing them.
 """
 
 from __future__ import annotations
@@ -41,8 +46,12 @@ def _as_value(x) -> Value:
 def dense(x: Value, w: Value, b: Value) -> Value:
     out = kernels.dense(x.data, w.data, b.data)
 
-    def backward(g):
-        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+    def backward(g, needed):
+        return (
+            g @ w.data.T if needed[0] else None,
+            x.data.T @ g if needed[1] else None,
+            g.sum(axis=0) if needed[2] else None,
+        )
 
     return Value(out, (x, w, b), backward)
 
@@ -51,11 +60,11 @@ def conv2d(x: Value, k: Value, b: Value) -> Value:
     out = kernels.conv2d(x.data, k.data, b.data)
     khw = (k.data.shape[2], k.data.shape[3])
 
-    def backward(g):
+    def backward(g, needed):
         return (
-            kernels.conv2d_input_grad(g, k.data),
-            kernels.conv2d_kernel_grad(x.data, g, khw),
-            g.sum(axis=(0, 2, 3)),
+            kernels.conv2d_input_grad(g, k.data) if needed[0] else None,
+            kernels.conv2d_kernel_grad(x.data, g, khw) if needed[1] else None,
+            g.sum(axis=(0, 2, 3)) if needed[2] else None,
         )
 
     return Value(out, (x, k, b), backward)
@@ -64,7 +73,7 @@ def conv2d(x: Value, k: Value, b: Value) -> Value:
 def relu(x: Value) -> Value:
     out = kernels.relu(x.data)
 
-    def backward(g):
+    def backward(g, _):
         return (g * (x.data > 0),)
 
     return Value(out, (x,), backward)
@@ -73,17 +82,17 @@ def relu(x: Value) -> Value:
 def sigmoid(x: Value) -> Value:
     out = kernels.sigmoid(x.data)
 
-    def backward(g):
+    def backward(g, _):
         return (g * out * (1.0 - out),)
 
     return Value(out, (x,), backward)
 
 
 def max_pool2x2(x: Value) -> Value:
-    out, mask = kernels.max_pool2x2(x.data)
+    out, routing = kernels.max_pool2x2(x.data)
 
-    def backward(g):
-        return (kernels.max_pool2x2_grad(g, mask),)
+    def backward(g, _):
+        return (kernels.max_pool2x2_grad(g, routing),)
 
     return Value(out, (x,), backward)
 
@@ -91,7 +100,7 @@ def max_pool2x2(x: Value) -> Value:
 def reshape(x: Value, shape: tuple[int, ...]) -> Value:
     out = x.data.reshape(shape)
 
-    def backward(g):
+    def backward(g, _):
         return (g.reshape(x.data.shape),)
 
     return Value(out, (x,), backward)
@@ -105,17 +114,17 @@ def flatten(x: Value) -> Value:
 def add(a: Value, b: Value) -> Value:
     if a.data.shape != b.data.shape:
         raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
-    return Value(a.data + b.data, (a, b), lambda g: (g, g))
+    return Value(a.data + b.data, (a, b), lambda g, _: (g, g))
 
 
 def mul(a: Value, b: Value) -> Value:
     if a.data.shape != b.data.shape:
         raise DimensionError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
-    return Value(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+    return Value(a.data * b.data, (a, b), lambda g, _: (g * b.data, g * a.data))
 
 
 def sum_all(x: Value) -> Value:
-    def backward(g):
+    def backward(g, _):
         return (np.broadcast_to(g, x.data.shape),)
 
     return Value(np.asarray(x.data.sum()), (x,), backward)
@@ -137,7 +146,7 @@ def mix(g: Value, global_out: Value, local_out: Value) -> Value:
     gw = g.data[:, None]
     out = gw * global_out.data + (1.0 - gw) * local_out.data
 
-    def backward(d):
+    def backward(d, _):
         return (
             (d * (global_out.data - local_out.data)).sum(axis=1),
             d * gw,
@@ -151,7 +160,7 @@ def cross_entropy(logits: Value, labels: Sequence[int]) -> Value:
     y = np.asarray(labels, dtype=np.int64)
     loss = kernels.cross_entropy(logits.data, y)
 
-    def backward(g):
+    def backward(g, _):
         return (g * kernels.cross_entropy_grad(logits.data, y),)
 
     return Value(np.asarray(loss), (logits,), backward)
@@ -176,16 +185,27 @@ def _topo_order(root: Value) -> list[Value]:
 
 
 def gradient(loss: Value, params: Sequence[Value]) -> list[np.ndarray]:
-    """Gradients of a recorded scalar loss with respect to each parameter node."""
+    """Gradients of a recorded scalar loss with respect to each parameter node.
+
+    Only nodes on a path from a requested node to the loss receive a
+    gradient, so inputs and frozen parameters cost no backward work.
+    """
     if loss.data.ndim != 0:
         raise UsageError(f"gradient needs a scalar loss, got shape {loss.data.shape}")
     order = _topo_order(loss)
+    needed = {id(p) for p in params}
+    for node in order:  # parents before children
+        if any(id(parent) in needed for parent in node.parents):
+            needed.add(id(node))
     grads: dict[int, np.ndarray] = {id(loss): np.ones(())}
     for node in reversed(order):
         g = grads.get(id(node))
         if g is None or node._backward is None:
             continue
-        for parent, pg in zip(node.parents, node._backward(g)):
+        mask = tuple(id(parent) in needed for parent in node.parents)
+        for parent, need, pg in zip(node.parents, mask, node._backward(g, mask)):
+            if not need:
+                continue
             pid = id(parent)
             if pid in grads:
                 grads[pid] = grads[pid] + pg

@@ -14,24 +14,39 @@ def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x @ w + b
 
 
+def _im2col(x: np.ndarray, khw: tuple[int, int]) -> np.ndarray:
+    """Patch matrix of a valid stride-1 convolution: shape (C*kh*kw, N*oh*ow),
+    rows ordered (c, p, q) to match ``k.reshape(F, -1)``, columns (n, i, j)."""
+    windows = sliding_window_view(x, khw, axis=(2, 3))  # (N, C, oh, ow, kh, kw)
+    n, c, oh, ow = windows.shape[:4]
+    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * khw[0] * khw[1], n * oh * ow)
+
+
 def conv2d(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Valid cross-correlation, stride 1: out[n,f,i,j] = sum_cpq x[n,c,i+p,j+q] k[f,c,p,q] + b[f]
-    windows = sliding_window_view(x, k.shape[2:], axis=(2, 3))
-    out = np.einsum("ncijpq,fcpq->nfij", windows, k, optimize=True)
+    f, _, kh, kw = k.shape
+    n, oh, ow = x.shape[0], x.shape[2] - kh + 1, x.shape[3] - kw + 1
+    out = (k.reshape(f, -1) @ _im2col(x, (kh, kw))).reshape(f, n, oh, ow).transpose(1, 0, 2, 3)
     return out + b[None, :, None, None]
 
 
 def conv2d_input_grad(dy: np.ndarray, k: np.ndarray) -> np.ndarray:
-    # Full correlation of dy with the spatially flipped kernels.
-    kh, kw = k.shape[2], k.shape[3]
-    pad = np.pad(dy, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-    windows = sliding_window_view(pad, (kh, kw), axis=(2, 3))
-    return np.einsum("nfuvpq,fcpq->ncuv", windows, k[:, :, ::-1, ::-1], optimize=True)
+    # GEMM into patch space, then col2im: each kernel offset (p, q) adds its
+    # patch-space slice back onto the input positions it read.
+    n, f, oh, ow = dy.shape
+    c, kh, kw = k.shape[1:]
+    cols = (k.reshape(f, -1).T @ dy.transpose(1, 0, 2, 3).reshape(f, -1)).reshape(c, kh, kw, n, oh, ow)
+    dx = np.zeros((n, c, oh + kh - 1, ow + kw - 1))
+    for p in range(kh):
+        for q in range(kw):
+            dx[:, :, p : p + oh, q : q + ow] += cols[:, p, q].transpose(1, 0, 2, 3)
+    return dx
 
 
 def conv2d_kernel_grad(x: np.ndarray, dy: np.ndarray, khw: tuple[int, int]) -> np.ndarray:
-    windows = sliding_window_view(x, khw, axis=(2, 3))
-    return np.einsum("ncijpq,nfij->fcpq", windows, dy, optimize=True)
+    f = dy.shape[1]
+    dk = dy.transpose(1, 0, 2, 3).reshape(f, -1) @ _im2col(x, khw).T
+    return dk.reshape(f, x.shape[1], khw[0], khw[1])
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -56,31 +71,28 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
 
 
 def max_pool2x2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2, stride-2 max pooling on (..., H, W). Returns (pooled, routing mask).
+    """2x2, stride-2 max pooling on (..., H, W). Returns (pooled, routing).
 
-    The mask marks, for each output cell, the first maximal position of its
-    window in row-major order, which fixes the gradient tie-break.
+    ``routing`` is an int8 array of the pooled shape holding, for each output
+    cell, the row-major offset 0..3 of the first maximal cell of its window
+    (0 top-left, 1 top-right, 2 bottom-left, 3 bottom-right), which fixes the
+    gradient tie-break.
     """
-    h, w = x.shape[-2], x.shape[-1]
-    lead = x.shape[:-2]
-    win = x.reshape(lead + (h // 2, 2, w // 2, 2))
-    axes = list(range(len(lead)))
-    win = win.transpose(axes + [len(lead), len(lead) + 2, len(lead) + 1, len(lead) + 3])
-    win = win.reshape(lead + (h // 2, w // 2, 4))
-    pooled = win.max(axis=-1)
-    eq = win == pooled[..., None]
-    first = eq & (np.cumsum(eq, axis=-1) == 1)
-    return pooled, first
+    a, b, c, d = (x[..., i::2, j::2] for i in (0, 1) for j in (0, 1))
+    top, bottom = np.maximum(a, b), np.maximum(c, d)
+    # First maximum in row-major order: the top row unless the bottom row's
+    # maximum is strictly larger, then the left cell unless the right one is.
+    lower = top < bottom
+    right = np.where(lower, c < d, a < b)
+    return np.maximum(top, bottom), 2 * lower.view(np.int8) + right.view(np.int8)
 
 
-def max_pool2x2_grad(dy: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    lead = dy.shape[:-2]
-    h2, w2 = dy.shape[-2], dy.shape[-1]
-    routed = mask * dy[..., None]
-    routed = routed.reshape(lead + (h2, w2, 2, 2))
-    axes = list(range(len(lead)))
-    routed = routed.transpose(axes + [len(lead), len(lead) + 2, len(lead) + 1, len(lead) + 3])
-    return routed.reshape(lead + (h2 * 2, w2 * 2))
+def max_pool2x2_grad(dy: np.ndarray, routing: np.ndarray) -> np.ndarray:
+    dx = np.zeros(dy.shape[:-2] + (2 * dy.shape[-2], 2 * dy.shape[-1]))
+    for offset in range(4):
+        i, j = divmod(offset, 2)
+        np.multiply(dy, routing == offset, out=dx[..., i::2, j::2])
+    return dx
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -9,7 +9,7 @@ gate weights, both experts frozen).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,6 +96,7 @@ class PersonalizedClient:
     personalized: dict[str, Tensor]  # full model (pfl_ft) or classifier head (fb/mf/mfe)
     gate: GatingParams | None
     split: SplitModel
+    mean_g: float | None = None  # mean gate weight over the gate set it was trained on (mf/mfe)
 
     def __post_init__(self):
         if (self.gate is not None) != (self.algorithm in MOE_ALGORITHMS):
@@ -238,13 +239,14 @@ def _run_moe(
         local_logits = classify(split, gate_feats, classifier=classifier).data
         loss_fn = gate_loss(gate_inputs, global_logits, local_logits, gate_data.labels)
         gate = sgd_epoch(gate, len(gate_data), cfg.batch_size, loss_fn, gate_state, gate_sgd, rng)
-    return PersonalizedClient(
+    client = PersonalizedClient(
         client_id=client_id,
         algorithm="pfl_mf" if input_mode == "raw" else "pfl_mfe",
         personalized=classifier,
         gate=GatingParams(gate["weight"], float(gate["bias"].data[0]), input_mode),
         split=split,
     )
+    return replace(client, mean_g=mean_gate_weight(client, gate_data, gate_feats))
 
 
 def run_pfl_mf(
@@ -271,6 +273,19 @@ def run_pfl_mfe(
     return _run_moe(client_id, per_data, gate_data, split, cfg, "feature", seed)
 
 
+def _gate_weights(
+    client: PersonalizedClient, raw: Tensor, features: Tensor | None, gate_override: float | None = None
+) -> Tensor | float:
+    """The gate weights g of :func:`mixture`, without the mixed logits."""
+    if client.gate is None:
+        raise UsageError(f"client {client.client_id} ({client.algorithm}) has no gating network")
+    if gate_override is not None:
+        return gate_override
+    if features is None and client.gate.input_mode == "feature":
+        return gate_forward(client.gate, extract_features(client.split, raw))
+    return gate_forward(client.gate, _gate_inputs(client.gate.input_mode, raw, features))
+
+
 def mixture(
     client: PersonalizedClient,
     raw: Tensor,
@@ -286,14 +301,7 @@ def mixture(
     own inputs, a raw-reading gate never runs the extractor.
     ``gate_override`` clamps g for boundary checks. Returns (g, logits).
     """
-    if client.gate is None:
-        raise UsageError(f"client {client.client_id} ({client.algorithm}) has no gating network")
-    if gate_override is not None:
-        g = gate_override
-    elif features is None and client.gate.input_mode == "feature":
-        g = gate_forward(client.gate, extract_features(client.split, raw))
-    else:
-        g = gate_forward(client.gate, _gate_inputs(client.gate.input_mode, raw, features))
+    g = _gate_weights(client, raw, features, gate_override)
     if features is None:
         return g, None
     global_out = classify(client.split, features)
@@ -309,7 +317,10 @@ def moe_predict(x: Tensor, client: PersonalizedClient, gate_override: float | No
     return Tensor._wrap(mixed.data[0]) if single else mixed
 
 
-def mean_gate_weight(client: PersonalizedClient, gate_data: LabeledDataset) -> float:
-    """Average mixing weight g over a gate set; the global expert's share."""
-    g, _ = mixture(client, gate_data.features)
-    return float(g.data.mean())
+def mean_gate_weight(
+    client: PersonalizedClient, gate_data: LabeledDataset, features: Tensor | None = None
+) -> float:
+    """Average mixing weight g over a gate set; the global expert's share.
+    ``features`` are the shared extractor's activations of the gate set, if
+    the caller already has them."""
+    return float(_gate_weights(client, gate_data.features, features).data.mean())

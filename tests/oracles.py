@@ -47,6 +47,81 @@ def conv2d_loops(x, k, b):
     return out
 
 
+def conv2d_input_grad_loops(dy, k):
+    """Gradient of sum(conv2d(x) * dy) with respect to x, by scattering each
+    output gradient back over the window it read."""
+    dy, k = np.asarray(dy), np.asarray(k)
+    n, f, ho, wo = dy.shape
+    _, c, kh, kw = k.shape
+    dx = np.zeros((n, c, ho + kh - 1, wo + kw - 1))
+    for n_i in range(n):
+        for f_i in range(f):
+            for i in range(ho):
+                for j in range(wo):
+                    g = dy[n_i, f_i, i, j]
+                    for c_i in range(c):
+                        for p in range(kh):
+                            for q in range(kw):
+                                dx[n_i, c_i, i + p, j + q] += g * k[f_i, c_i, p, q]
+    return dx
+
+
+def conv2d_kernel_grad_loops(x, dy, kh, kw):
+    """Gradient of sum(conv2d(x) * dy) with respect to the kernels."""
+    x, dy = np.asarray(x), np.asarray(dy)
+    n, f, ho, wo = dy.shape
+    c = x.shape[1]
+    dk = np.zeros((f, c, kh, kw))
+    for f_i in range(f):
+        for c_i in range(c):
+            for p in range(kh):
+                for q in range(kw):
+                    acc = 0.0
+                    for n_i in range(n):
+                        for i in range(ho):
+                            for j in range(wo):
+                                acc += x[n_i, c_i, i + p, j + q] * dy[n_i, f_i, i, j]
+                    dk[f_i, c_i, p, q] = acc
+    return dk
+
+
+def max_pool2x2_loops(x):
+    """2x2 stride-2 max pooling on (N, C, H, W). Returns (pooled, routing),
+    routing being the row-major offset 0..3 of the first maximal window cell."""
+    x = np.asarray(x)
+    n, c, h, w = x.shape
+    pooled = np.zeros((n, c, h // 2, w // 2))
+    routing = np.zeros((n, c, h // 2, w // 2), dtype=np.int64)
+    for n_i in range(n):
+        for c_i in range(c):
+            for i in range(h // 2):
+                for j in range(w // 2):
+                    cells = [x[n_i, c_i, 2 * i + p, 2 * j + q] for p in (0, 1) for q in (0, 1)]
+                    best = 0
+                    for offset in range(1, 4):
+                        if cells[offset] > cells[best]:
+                            best = offset
+                    pooled[n_i, c_i, i, j] = cells[best]
+                    routing[n_i, c_i, i, j] = best
+    return pooled, routing
+
+
+def max_pool2x2_grad_loops(x, dy):
+    """Gradient of sum(max_pool(x) * dy): each output gradient goes to the
+    first maximal cell of its window."""
+    _, routing = max_pool2x2_loops(x)
+    dy = np.asarray(dy)
+    n, c, h2, w2 = dy.shape
+    dx = np.zeros((n, c, 2 * h2, 2 * w2))
+    for n_i in range(n):
+        for c_i in range(c):
+            for i in range(h2):
+                for j in range(w2):
+                    p, q = divmod(int(routing[n_i, c_i, i, j]), 2)
+                    dx[n_i, c_i, 2 * i + p, 2 * j + q] = dy[n_i, c_i, i, j]
+    return dx
+
+
 def cross_entropy_per_sample(logits, labels):
     """Per-sample -log p oracle via explicit softmax, averaged by hand."""
     logits = np.asarray(logits)

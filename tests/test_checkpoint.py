@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -61,3 +63,26 @@ def test_identical_content_identical_digest(tmp_path):
     d1 = checkpoint.save_model(tmp_path / "a.ckpt", params, extra={"seed": 2})
     d2 = checkpoint.save_model(tmp_path / "b.ckpt", params, extra={"seed": 2})
     assert d1 == d2
+    assert d1 == hashlib.sha256((tmp_path / "a.ckpt").read_bytes()).hexdigest()
+
+
+class _UnreadablePayload:
+    """A tensor whose shape is known but whose payload cannot be read, so a
+    write fails after the header and earlier tensors are out."""
+
+    ndim, shape = 1, (2,)
+
+    @property
+    def data(self):
+        raise RuntimeError("payload unavailable")
+
+
+def test_failed_write_leaves_the_earlier_checkpoint_intact(tmp_path):
+    params = models.build_model(SPEC, seed=4)
+    path = tmp_path / "model.ckpt"
+    checkpoint.save_model(path, params)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="payload unavailable"):
+        checkpoint.save_tensors(path, {**params.tensors, "late": _UnreadablePayload()}, {"kind": "model"})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

@@ -174,6 +174,25 @@ class TestPersonalizeCommand:
             acc = float((logits.data.argmax(axis=1) == test.labels).mean())
             assert acc == pytest.approx(record.global_acc, abs=1e-10)
 
+    def test_pfl_mfe_extracts_every_training_example_once(self, workspace, monkeypatch):
+        from fedmoe import personalization
+
+        config, _ = workspace
+        run(["partition", "--config", config])
+        run(["fedavg", "--config", config])
+        passes = []
+        extract = personalization.extract_features
+
+        def counting(split, x):
+            passes.append(len(x))
+            return extract(split, x)
+
+        monkeypatch.setattr(personalization, "extract_features", counting)
+        run(["personalize", "--config", config, "--algorithm", "pfl_mfe"])
+        # One pass over each client's adaptation set and one over its gate set.
+        assert len(passes) == 2 * 6
+        assert sum(passes) == 4 * 40
+
     def test_missing_checkpoint_is_actionable(self, workspace, capsys):
         config, out = workspace
         run(["partition", "--config", config])
@@ -220,6 +239,8 @@ class TestSelftestCommand:
         assert cli.main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+        for kernel in ("conv2d", "conv2d_input_grad", "conv2d_kernel_grad", "max_pool2x2", "max_pool2x2_grad"):
+            assert f"PASS  {kernel} " in out
 
 
 class TestFullPipelineDeterminism:

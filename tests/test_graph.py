@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
+from fedmoe import federation, models
 from fedmoe.errors import UsageError
-from fedmoe.numerics import graph
+from fedmoe.numerics import SgdConfig, graph, kernels
 
 GRAD_TOL = 1e-4
 FD_STEP = 1e-5
@@ -150,3 +151,53 @@ class TestGateAndMixingGradients:
         gw, gb = graph.gradient(loss, [w, b])
         assert np.abs(gw).max() == 0.0
         assert np.abs(gb).max() == 0.0
+
+
+class TestGradientPruning:
+    SPEC = models.ModelSpec("lenet5", channels=1, classes=4)
+
+    def lenet_batch(self):
+        rng = np.random.default_rng(51)
+        params = models.build_model(self.SPEC, seed=5).tensors
+        x = rng.uniform(size=(3,) + self.SPEC.input_shape)
+        labels = rng.integers(0, 4, size=3)
+        return params, x, labels
+
+    def test_sgd_epoch_batch_skips_the_input_gradient_of_conv1(self, monkeypatch):
+        params, x, labels = self.lenet_batch()
+        kernel_shapes = []
+        real = kernels.conv2d_input_grad
+
+        def counting(dy, k):
+            kernel_shapes.append(k.shape)
+            return real(dy, k)
+
+        monkeypatch.setattr(kernels, "conv2d_input_grad", counting)
+        federation.sgd_epochs(params, self.SPEC, x, labels, 1, len(labels), SgdConfig(learning_rate=0.1),
+                              np.random.default_rng(0))
+        assert kernel_shapes == [params["conv2.weight"].shape]
+
+    def test_parameter_gradients_do_not_depend_on_requesting_the_input(self):
+        params, x, labels = self.lenet_batch()
+        leaves = models.param_leaves(params)
+        xv = graph.leaf(x)
+        loss = graph.cross_entropy(models.forward_graph(self.SPEC, leaves, xv), labels)
+        alone = graph.gradient(loss, list(leaves.values()))
+        *with_input, _ = graph.gradient(loss, [*leaves.values(), xv])
+        for a, b in zip(alone, with_input):
+            assert np.array_equal(a, b)
+
+    def test_input_alone_matches_finite_differences(self):
+        rng = np.random.default_rng(52)
+        x = rng.normal(size=(2, 2, 6, 6))
+        k = rng.normal(size=(3, 2, 3, 3))
+        kb = rng.normal(size=3)
+        w = rng.normal(size=(3 * 2 * 2, 4))
+        b = rng.normal(size=4)
+
+        def build(leaves):
+            (xv,) = leaves
+            h = graph.max_pool2x2(graph.relu(graph.conv2d(xv, graph.leaf(k), graph.leaf(kb))))
+            return graph.cross_entropy(graph.dense(graph.flatten(h), graph.leaf(w), graph.leaf(b)), [1, 3])
+
+        check_gradients(build, [x])

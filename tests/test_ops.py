@@ -78,6 +78,67 @@ class TestConv2d:
         assert np.allclose(forward(graph.conv2d, x, k, b), want, atol=1e-12)
 
 
+# LeNet-5 layer shapes at batch 2: (input, kernel).
+LENET_CONVS = {
+    "conv1": ((2, 1, 32, 32), (6, 1, 5, 5)),
+    "conv2": ((2, 6, 14, 14), (16, 6, 5, 5)),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(LENET_CONVS))
+class TestConvGradientsAtLenetShapes:
+    def arrays(self, layer):
+        x_shape, k_shape = LENET_CONVS[layer]
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=x_shape)
+        k = rng.normal(size=k_shape)
+        side = x_shape[2] - k_shape[2] + 1
+        dy = rng.normal(size=(x_shape[0], k_shape[0], side, side))
+        return x, k, dy
+
+    def test_forward_matches_six_loop_oracle(self, layer):
+        x, k, _ = self.arrays(layer)
+        b = np.linspace(-1.0, 1.0, k.shape[0])
+        assert np.allclose(kernels.conv2d(x, k, b), oracles.conv2d_loops(x, k, b), rtol=0, atol=1e-12)
+
+    def test_input_grad_matches_loop_oracle(self, layer):
+        _, k, dy = self.arrays(layer)
+        want = oracles.conv2d_input_grad_loops(dy, k)
+        assert np.allclose(kernels.conv2d_input_grad(dy, k), want, rtol=0, atol=1e-12)
+
+    def test_kernel_grad_matches_loop_oracle(self, layer):
+        x, k, dy = self.arrays(layer)
+        want = oracles.conv2d_kernel_grad_loops(x, dy, k.shape[2], k.shape[3])
+        assert np.allclose(kernels.conv2d_kernel_grad(x, dy, k.shape[2:]), want, rtol=0, atol=1e-12)
+
+
+class TestMaxPoolRouting:
+    @pytest.mark.parametrize("shape", [(2, 6, 28, 28), (2, 16, 10, 10)])
+    def test_matches_loop_oracle_at_lenet_shapes(self, shape):
+        rng = np.random.default_rng(43)
+        # Few distinct values, so many windows hold ties.
+        x = rng.integers(0, 3, size=shape).astype(np.float64)
+        dy = rng.normal(size=shape[:2] + (shape[2] // 2, shape[3] // 2))
+        pooled, routing = kernels.max_pool2x2(x)
+        want_pooled, want_routing = oracles.max_pool2x2_loops(x)
+        assert np.array_equal(pooled, want_pooled)
+        assert np.array_equal(routing, want_routing)
+        assert np.allclose(kernels.max_pool2x2_grad(dy, routing), oracles.max_pool2x2_grad_loops(x, dy),
+                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("window, cell", [
+        ([[1.0, 1.0], [1.0, 1.0]], (0, 0)),  # all equal: top-left
+        ([[0.0, 1.0], [2.0, 2.0]], (1, 0)),  # the two bottom cells tie: bottom-left
+    ])
+    def test_tie_routes_to_first_maximum_in_row_major_order(self, window, cell):
+        x = np.array(window).reshape(1, 1, 2, 2)
+        _, routing = kernels.max_pool2x2(x)
+        dx = kernels.max_pool2x2_grad(np.array([[[[3.0]]]]), routing)
+        want = np.zeros((2, 2))
+        want[cell] = 3.0
+        assert np.array_equal(dx[0, 0], want)
+
+
 class TestActivations:
     def test_sigmoid_symmetry_point(self):
         assert forward(graph.sigmoid, [0.0]).tolist() == [0.5]

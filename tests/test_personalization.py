@@ -239,6 +239,20 @@ class TestMoeRuns:
             merged = {**moe.split.extractor, **moe.split.classifier}
             assert np.array_equal(merged[k].data, arr)
 
+    # The values the CLI recorded when it ran the extractor over the gate set
+    # a second time, after the run; the run's own features give the same g.
+    @pytest.mark.parametrize("run, recorded", [
+        (personalization.run_pfl_mf, 0.5141748261471378),
+        (personalization.run_pfl_mfe, 0.5037070362363202),
+    ])
+    def test_mean_g_comes_from_the_run_and_is_unchanged(self, run, recorded):
+        glob, _ = global_model()
+        split = models.split_model(glob)
+        per, gate_ds = self.split_client(seed=10)
+        client = run(0, per, gate_ds, split, pcfg("pfl_mf", epochs=2), seed=15)
+        assert client.mean_g == personalization.mean_gate_weight(client, gate_ds)
+        assert client.mean_g == pytest.approx(recorded, rel=1e-12)
+
     def test_determinism(self):
         glob, _ = global_model()
         split = models.split_model(glob)
