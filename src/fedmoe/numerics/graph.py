@@ -195,14 +195,16 @@ def gradient(loss: Value, params: Sequence[Value]) -> list[np.ndarray]:
     order = _topo_order(loss)
     needed = {id(p) for p in params}
     for node in order:  # parents before children
-        if any(id(parent) in needed for parent in node.parents):
-            needed.add(id(node))
+        for parent in node.parents:
+            if id(parent) in needed:
+                needed.add(id(node))
+                break
     grads: dict[int, np.ndarray] = {id(loss): np.ones(())}
     for node in reversed(order):
         g = grads.get(id(node))
         if g is None or node._backward is None:
             continue
-        mask = tuple(id(parent) in needed for parent in node.parents)
+        mask = [id(parent) in needed for parent in node.parents]
         for parent, need, pg in zip(node.parents, mask, node._backward(g, mask)):
             if not need:
                 continue
