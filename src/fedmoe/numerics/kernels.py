@@ -26,8 +26,9 @@ def conv2d(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Valid cross-correlation, stride 1: out[n,f,i,j] = sum_cpq x[n,c,i+p,j+q] k[f,c,p,q] + b[f]
     f, _, kh, kw = k.shape
     n, oh, ow = x.shape[0], x.shape[2] - kh + 1, x.shape[3] - kw + 1
-    out = (k.reshape(f, -1) @ _im2col(x, (kh, kw))).reshape(f, n, oh, ow).transpose(1, 0, 2, 3)
-    return out + b[None, :, None, None]
+    cols = (k.reshape(f, -1) @ _im2col(x, (kh, kw))).reshape(f, n, oh, ow)
+    # Adding the bias writes the result in NCHW order, which the next layers read.
+    return np.add(cols.transpose(1, 0, 2, 3), b[None, :, None, None], out=np.empty((n, f, oh, ow)))
 
 
 def conv2d_input_grad(dy: np.ndarray, k: np.ndarray) -> np.ndarray:
