@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DataFormatError
+from .fileio import atomic_open
 from .models import ModelParams, ModelSpec
 from .numerics.tensor import Tensor
 
@@ -26,38 +25,30 @@ VERSION = 1
 def save_tensors(path, tensors: dict[str, Tensor], manifest: dict) -> str:
     """Write a named-tensor container; returns the sha256 hex digest of its bytes.
 
-    The bytes go to a temporary file in the target directory that then
-    replaces ``path``, so a write that fails partway leaves any earlier file
-    at ``path`` as it was.
+    The write is atomic (:func:`fileio.atomic_open`): a write that fails
+    partway leaves any earlier file at ``path`` as it was.
     """
     manifest = dict(manifest)
     # An ordered pair list, not a dict: sort_keys must not disturb tensor order.
     manifest["tensors"] = [[name, list(t.shape)] for name, t in tensors.items()]
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    path = Path(path)
     digest = hashlib.sha256()
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            def write(buf: bytes):
-                f.write(buf)
-                digest.update(buf)
+    with atomic_open(path, "wb") as f:
+        def write(buf: bytes):
+            f.write(buf)
+            digest.update(buf)
 
-            write(MAGIC)
-            write(struct.pack("<B", VERSION))
-            write(struct.pack("<I", len(blob)))
-            write(blob)
-            for name, t in tensors.items():
-                encoded = name.encode("utf-8")
-                write(struct.pack("<H", len(encoded)))
-                write(encoded)
-                write(struct.pack("<B", t.ndim))
-                write(struct.pack(f"<{t.ndim}I", *t.shape))
-                write(t.data.astype("<f8", copy=False).tobytes(order="C"))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        write(MAGIC)
+        write(struct.pack("<B", VERSION))
+        write(struct.pack("<I", len(blob)))
+        write(blob)
+        for name, t in tensors.items():
+            encoded = name.encode("utf-8")
+            write(struct.pack("<H", len(encoded)))
+            write(encoded)
+            write(struct.pack("<B", t.ndim))
+            write(struct.pack(f"<{t.ndim}I", *t.shape))
+            write(t.data.astype("<f8", copy=False).tobytes(order="C"))
     return digest.hexdigest()
 
 

@@ -24,6 +24,7 @@ from . import __version__, checkpoint, data, evaluation, federation, models, per
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, FedmoeError
 from .federation import derive_seed
+from .fileio import atomic_open
 from .numerics.tensor import Tensor
 
 log = logging.getLogger("fedmoe")
@@ -64,18 +65,39 @@ def _partition_path(cfg: ExperimentConfig) -> Path:
 
 
 def load_partition(cfg: ExperimentConfig, train: data.LabeledDataset) -> data.ClientPartition:
+    """The saved partition, checked against the configuration and the training set."""
     path = _partition_path(cfg)
     if not path.exists():
         raise ConfigError(
             f"partition file {path} does not exist; run `fedmoe partition --config ...` first"
         )
-    blob = json.loads(path.read_text())
-    if blob["dataset_size"] != len(train):
-        raise ConfigError(
-            f"partition file {path} covers {blob['dataset_size']} training examples but the configured "
-            f"dataset has {len(train)}; re-run `fedmoe partition --config ...`"
-        )
-    return data.ClientPartition(tuple(tuple(c) for c in blob["clients"]))
+
+    def invalid(problem: str) -> ConfigError:
+        return ConfigError(f"partition file {path} {problem}; re-run `fedmoe partition --config ...`")
+
+    try:
+        blob = json.loads(path.read_text())
+    except ValueError as e:  # malformed JSON or text
+        raise invalid(f"is not valid JSON ({e})") from None
+    if not isinstance(blob, dict) or "dataset_size" not in blob or "clients" not in blob:
+        raise invalid("lacks the `dataset_size` or the `clients` key")
+    size, clients = blob["dataset_size"], blob["clients"]
+    if type(size) is not int or size != len(train):
+        raise invalid(f"covers {size} training examples but the configured dataset has {len(train)}")
+    if not isinstance(clients, list) or len(clients) != cfg.partition.clients:
+        count = len(clients) if isinstance(clients, list) else "no list of"
+        raise invalid(f"holds {count} clients but [partition] clients is {cfg.partition.clients}")
+    owner = [-1] * size
+    for cid, indices in enumerate(clients):
+        if not isinstance(indices, list):
+            raise invalid(f"gives client {cid} {indices!r}, not a list of example indices")
+        for i in indices:
+            if type(i) is not int or not 0 <= i < size:
+                raise invalid(f"gives client {cid} the index {i!r}, not an integer in [0, {size})")
+            if owner[i] >= 0:
+                raise invalid(f"assigns example {i} to both client {owner[i]} and client {cid}")
+            owner[i] = cid
+    return data.ClientPartition(tuple(tuple(c) for c in clients))
 
 
 def _write_manifest(cfg: ExperimentConfig, name: str, extra: dict) -> None:
@@ -85,8 +107,8 @@ def _write_manifest(cfg: ExperimentConfig, name: str, extra: dict) -> None:
         "config": cfg.snapshot(),
     }
     manifest.update(extra)
-    path = cfg.out_dir / f"manifest_{name}.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    with atomic_open(cfg.out_dir / f"manifest_{name}.json") as f:
+        f.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_partition(cfg: ExperimentConfig) -> int:
@@ -100,9 +122,10 @@ def cmd_partition(cfg: ExperimentConfig) -> int:
         "partition_seed": cfg.partition.seed,
         "dataset_size": len(train),
     }
-    _partition_path(cfg).write_text(json.dumps(blob, sort_keys=True) + "\n")
+    with atomic_open(_partition_path(cfg)) as f:
+        f.write(json.dumps(blob, sort_keys=True) + "\n")
 
-    with open(cfg.out_dir / "partition_histogram.csv", "w", newline="") as f:
+    with atomic_open(cfg.out_dir / "partition_histogram.csv", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["client_id"] + [f"class_{c}" for c in range(train.classes)] + ["total"])
         for cid, indices in enumerate(partition.clients):
@@ -124,7 +147,7 @@ def cmd_fedavg(cfg: ExperimentConfig) -> int:
         train, partition, cfg.model, cfg.federation, eval_fn, workers=cfg.workers
     )
 
-    with open(cfg.out_dir / "rounds.csv", "w", newline="") as f:
+    with atomic_open(cfg.out_dir / "rounds.csv", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["round", "sampled_clients", "global_acc"])
         for record in result.rounds:
@@ -320,13 +343,13 @@ def cmd_report(metric_paths: list[str], out_dir: Path) -> int:
     summary = evaluation.summarize(records)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "report.csv", "w", newline="") as f:
+    with atomic_open(out_dir / "report.csv", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["algorithm", "clients", "mean_local_acc", "mean_global_acc"])
         for row in summary.rows:
             writer.writerow([row.algorithm, row.clients, f"{row.mean_local_acc:.10f}", f"{row.mean_global_acc:.10f}"])
 
-    with open(out_dir / "deltas.csv", "w", newline="") as f:
+    with atomic_open(out_dir / "deltas.csv", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["algorithm", "client_id", "local_acc_delta", "global_acc_delta"])
         for alg in sorted(summary.deltas):

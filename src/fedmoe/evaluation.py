@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import EvaluationError
 from .data import LabeledDataset
+from .fileio import atomic_open
 from .numerics.tensor import Tensor
 
 # Maps a feature batch (B, C, S, S) to logits (B, K).
@@ -104,7 +105,7 @@ class MetricsRecord:
 
 def write_metrics_csv(records: Iterable[MetricsRecord], path, include_mean_gate: bool = False) -> None:
     fields = METRICS_CSV_FIELDS + (("mean_g",) if include_mean_gate else ())
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(fields)
         for r in records:
@@ -134,7 +135,7 @@ def read_metrics_csv(path) -> list[MetricsRecord]:
 
 
 def write_metrics_jsonl(records: Iterable[MetricsRecord], path) -> None:
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         for r in records:
             row = {
                 "run_id": r.run_id,

@@ -122,7 +122,7 @@ def sgd_epochs(
 ) -> dict[str, Tensor]:
     """Full-model minibatch SGD on the cross-entropy of (features, labels)."""
     def loss_fn(leaves, batch):
-        return graph.cross_entropy(forward_graph(spec, leaves, graph.leaf(features[batch])), labels[batch])
+        return graph.cross_entropy(forward_graph(spec, leaves, graph.const(features[batch])), labels[batch])
 
     state = OptimizerState()
     for _ in range(epochs):

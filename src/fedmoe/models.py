@@ -218,6 +218,11 @@ def param_leaves(tensors: dict[str, Tensor]) -> dict[str, graph.Value]:
     return {name: graph.leaf(t) for name, t in tensors.items()}
 
 
+def _param_consts(tensors: dict[str, Tensor]) -> dict[str, graph.Value]:
+    """Constant parameters for inference, which records no graph."""
+    return {name: graph.const(t) for name, t in tensors.items()}
+
+
 def extract_graph(spec: ModelSpec, values: dict[str, graph.Value], x: graph.Value) -> graph.Value:
     return _run_plan(_layer_plan(spec)[0], values, x)
 
@@ -241,14 +246,14 @@ def _check_input(spec: ModelSpec, x: Tensor) -> tuple[np.ndarray, bool]:
 def forward(model: ModelParams, x: Tensor) -> Tensor:
     """Raw logits for a batch (B,C,S,S) or a single example (C,S,S)."""
     data, single = _check_input(model.spec, x)
-    out = forward_graph(model.spec, param_leaves(model.tensors), graph.leaf(data)).data
+    out = forward_graph(model.spec, _param_consts(model.tensors), graph.const(data)).data
     return Tensor._wrap(out[0] if single else out)
 
 
 def extract_features(split: SplitModel, x: Tensor) -> Tensor:
     """Activations between extractor and classifier (length feature_dim)."""
     data, single = _check_input(split.spec, x)
-    out = extract_graph(split.spec, param_leaves(split.extractor), graph.leaf(data)).data
+    out = extract_graph(split.spec, _param_consts(split.extractor), graph.const(data)).data
     return Tensor._wrap(out[0] if single else out)
 
 
@@ -259,7 +264,7 @@ def classify(split: SplitModel, a: Tensor, classifier: dict[str, Tensor] | None 
     data = a.data[None] if single else a.data
     if data.ndim != 2 or data.shape[1] != split.feature_dim:
         raise DimensionError(f"features {a.shape} do not match feature_dim {split.feature_dim}")
-    out = classify_graph(split.spec, param_leaves(head), graph.leaf(data)).data
+    out = classify_graph(split.spec, _param_consts(head), graph.const(data)).data
     return Tensor._wrap(out[0] if single else out)
 
 

@@ -4,10 +4,12 @@ A forward pass builds :class:`Value` nodes (dense, conv, activations, loss,
 expert mixing); :func:`gradient` then walks the recorded graph backwards and
 returns analytic gradients for the requested parameter nodes.
 
-Each node's ``_backward(g, needed)`` maps the upstream gradient to one
-gradient per parent; ``needed`` flags the parents that lie on a path to a
-requested node, and an op may return None for the others instead of
-computing them.
+Every node knows whether a gradient can reach it: a :func:`leaf` is tracked,
+a :func:`const` is not, and an op is tracked if any parent is. An op on
+constants only records nothing: it returns a constant with no parents and no
+backward closure, so inference builds no graph and frees each activation as
+soon as the next layer has read it. A tracked node's ``_backward(g)`` maps
+the upstream gradient to one gradient per parent, None for constant parents.
 """
 
 from __future__ import annotations
@@ -24,86 +26,89 @@ from .tensor import Tensor
 class Value:
     """One node of a recorded computation: a result plus how to push gradients back."""
 
-    __slots__ = ("data", "parents", "_backward")
+    __slots__ = ("data", "parents", "_backward", "tracked")
 
-    def __init__(self, data: np.ndarray, parents: tuple = (), backward: Callable | None = None):
+    def __init__(self, data: np.ndarray, parents: tuple = (), backward: Callable | None = None,
+                 tracked: bool = True):
         self.data = data
         self.parents = parents
         self._backward = backward
+        self.tracked = tracked
+
+
+def _array(data) -> np.ndarray:
+    if isinstance(data, Tensor):
+        data = data.data
+    return np.asarray(data, dtype=np.float64)
 
 
 def leaf(data) -> Value:
-    """Wrap an input or parameter as a graph leaf."""
-    if isinstance(data, Tensor):
-        data = data.data
-    return Value(np.asarray(data, dtype=np.float64))
+    """Wrap a parameter (or an input whose gradient is wanted) as a tracked leaf."""
+    return Value(_array(data))
 
 
-def _as_value(x) -> Value:
-    return x if isinstance(x, Value) else leaf(x)
+def const(data) -> Value:
+    """Wrap data or a frozen parameter: no gradient flows to or through it."""
+    return Value(_array(data), tracked=False)
+
+
+def _record(out: np.ndarray, parents: tuple, backward: Callable) -> Value:
+    """A tracked node if any parent is tracked, else a constant."""
+    # A plain loop: a generator expression costs more on this per-op path.
+    for parent in parents:
+        if parent.tracked:
+            return Value(out, parents, backward)
+    return Value(out, tracked=False)
 
 
 def dense(x: Value, w: Value, b: Value) -> Value:
     out = kernels.dense(x.data, w.data, b.data)
 
-    def backward(g, needed):
+    def backward(g):
         return (
-            g @ w.data.T if needed[0] else None,
-            x.data.T @ g if needed[1] else None,
-            g.sum(axis=0) if needed[2] else None,
+            g @ w.data.T if x.tracked else None,
+            x.data.T @ g if w.tracked else None,
+            g.sum(axis=0) if b.tracked else None,
         )
 
-    return Value(out, (x, w, b), backward)
+    return _record(out, (x, w, b), backward)
 
 
 def conv2d(x: Value, k: Value, b: Value) -> Value:
-    out = kernels.conv2d(x.data, k.data, b.data)
     khw = (k.data.shape[2], k.data.shape[3])
+    if k.tracked:  # keep the patch matrix for the kernel gradient
+        out, cols = kernels.conv2d(x.data, k.data, b.data, keep_cols=True)
+    else:
+        out, cols = kernels.conv2d(x.data, k.data, b.data), None
 
-    def backward(g, needed):
+    def backward(g):
         return (
-            kernels.conv2d_input_grad(g, k.data) if needed[0] else None,
-            kernels.conv2d_kernel_grad(x.data, g, khw) if needed[1] else None,
-            g.sum(axis=(0, 2, 3)) if needed[2] else None,
+            kernels.conv2d_input_grad(g, k.data) if x.tracked else None,
+            kernels.conv2d_kernel_grad(x.data, g, khw, cols) if k.tracked else None,
+            g.sum(axis=(0, 2, 3)) if b.tracked else None,
         )
 
-    return Value(out, (x, k, b), backward)
+    return _record(out, (x, k, b), backward)
 
 
 def relu(x: Value) -> Value:
     out = kernels.relu(x.data)
-
-    def backward(g, _):
-        return (g * (x.data > 0),)
-
-    return Value(out, (x,), backward)
+    return _record(out, (x,), lambda g: (g * (x.data > 0),))
 
 
 def sigmoid(x: Value) -> Value:
     out = kernels.sigmoid(x.data)
-
-    def backward(g, _):
-        return (g * out * (1.0 - out),)
-
-    return Value(out, (x,), backward)
+    return _record(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
 def max_pool2x2(x: Value) -> Value:
-    out, routing = kernels.max_pool2x2(x.data)
-
-    def backward(g, _):
-        return (kernels.max_pool2x2_grad(g, routing),)
-
-    return Value(out, (x,), backward)
+    out, routing = kernels.max_pool2x2(x.data, with_routing=x.tracked)
+    return _record(out, (x,), lambda g: (kernels.max_pool2x2_grad(g, routing),))
 
 
 def reshape(x: Value, shape: tuple[int, ...]) -> Value:
     out = x.data.reshape(shape)
-
-    def backward(g, _):
-        return (g.reshape(x.data.shape),)
-
-    return Value(out, (x,), backward)
+    return _record(out, (x,), lambda g: (g.reshape(x.data.shape),))
 
 
 def flatten(x: Value) -> Value:
@@ -114,20 +119,19 @@ def flatten(x: Value) -> Value:
 def add(a: Value, b: Value) -> Value:
     if a.data.shape != b.data.shape:
         raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
-    return Value(a.data + b.data, (a, b), lambda g, _: (g, g))
+    return _record(a.data + b.data, (a, b), lambda g: (g if a.tracked else None, g if b.tracked else None))
 
 
 def mul(a: Value, b: Value) -> Value:
     if a.data.shape != b.data.shape:
         raise DimensionError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
-    return Value(a.data * b.data, (a, b), lambda g, _: (g * b.data, g * a.data))
+    return _record(a.data * b.data, (a, b), lambda g: (
+        g * b.data if a.tracked else None, g * a.data if b.tracked else None
+    ))
 
 
 def sum_all(x: Value) -> Value:
-    def backward(g, _):
-        return (np.broadcast_to(g, x.data.shape),)
-
-    return Value(np.asarray(x.data.sum()), (x,), backward)
+    return _record(np.asarray(x.data.sum()), (x,), lambda g: (np.broadcast_to(g, x.data.shape),))
 
 
 def mix(g: Value, global_out: Value, local_out: Value) -> Value:
@@ -146,24 +150,20 @@ def mix(g: Value, global_out: Value, local_out: Value) -> Value:
     gw = g.data[:, None]
     out = gw * global_out.data + (1.0 - gw) * local_out.data
 
-    def backward(d, _):
+    def backward(d):
         return (
-            (d * (global_out.data - local_out.data)).sum(axis=1),
-            d * gw,
-            d * (1.0 - gw),
+            (d * (global_out.data - local_out.data)).sum(axis=1) if g.tracked else None,
+            d * gw if global_out.tracked else None,
+            d * (1.0 - gw) if local_out.tracked else None,
         )
 
-    return Value(out, (g, global_out, local_out), backward)
+    return _record(out, (g, global_out, local_out), backward)
 
 
 def cross_entropy(logits: Value, labels: Sequence[int]) -> Value:
     y = np.asarray(labels, dtype=np.int64)
     loss = kernels.cross_entropy(logits.data, y)
-
-    def backward(g, _):
-        return (g * kernels.cross_entropy_grad(logits.data, y),)
-
-    return Value(np.asarray(loss), (logits,), backward)
+    return _record(np.asarray(loss), (logits,), lambda g: (g * kernels.cross_entropy_grad(logits.data, y),))
 
 
 def _topo_order(root: Value) -> list[Value]:
@@ -180,33 +180,26 @@ def _topo_order(root: Value) -> list[Value]:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node.parents:
-            stack.append((parent, False))
+            if parent.tracked:
+                stack.append((parent, False))
     return order
 
 
 def gradient(loss: Value, params: Sequence[Value]) -> list[np.ndarray]:
     """Gradients of a recorded scalar loss with respect to each parameter node.
 
-    Only nodes on a path from a requested node to the loss receive a
-    gradient, so inputs and frozen parameters cost no backward work.
+    Only tracked nodes receive a gradient, so constant inputs and frozen
+    parameters cost no backward work.
     """
     if loss.data.ndim != 0:
         raise UsageError(f"gradient needs a scalar loss, got shape {loss.data.shape}")
-    order = _topo_order(loss)
-    needed = {id(p) for p in params}
-    for node in order:  # parents before children
-        for parent in node.parents:
-            if id(parent) in needed:
-                needed.add(id(node))
-                break
     grads: dict[int, np.ndarray] = {id(loss): np.ones(())}
-    for node in reversed(order):
+    for node in reversed(_topo_order(loss)):
         g = grads.get(id(node))
         if g is None or node._backward is None:
             continue
-        mask = [id(parent) in needed for parent in node.parents]
-        for parent, need, pg in zip(node.parents, mask, node._backward(g, mask)):
-            if not need:
+        for parent, pg in zip(node.parents, node._backward(g)):
+            if pg is None:
                 continue
             pid = id(parent)
             if pid in grads:

@@ -22,13 +22,31 @@ def _im2col(x: np.ndarray, khw: tuple[int, int]) -> np.ndarray:
     return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * khw[0] * khw[1], n * oh * ow)
 
 
-def conv2d(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Valid cross-correlation, stride 1: out[n,f,i,j] = sum_cpq x[n,c,i+p,j+q] k[f,c,p,q] + b[f]
+# Inference convolves this many images per GEMM, so the patch matrix stays
+# cache-sized at large batches.
+CONV_BLOCK = 32
+
+
+def conv2d(x: np.ndarray, k: np.ndarray, b: np.ndarray, *, keep_cols: bool = False):
+    """Valid cross-correlation, stride 1: out[n,f,i,j] = sum_cpq x[n,c,i+p,j+q] k[f,c,p,q] + b[f].
+
+    With ``keep_cols`` the whole batch is one GEMM and the call returns
+    ``(out, cols)``, the patch matrix for :func:`conv2d_kernel_grad`.
+    Otherwise the batch runs in blocks of CONV_BLOCK images, a remainder
+    joining the last block, and the call returns ``out``. Every block then
+    holds at least CONV_BLOCK images: a small remainder block made OpenBLAS
+    pick another GEMM path, changing the last bit of some outputs.
+    """
     f, _, kh, kw = k.shape
     n, oh, ow = x.shape[0], x.shape[2] - kh + 1, x.shape[3] - kw + 1
-    cols = (k.reshape(f, -1) @ _im2col(x, (kh, kw))).reshape(f, n, oh, ow)
-    # Adding the bias writes the result in NCHW order, which the next layers read.
-    return np.add(cols.transpose(1, 0, 2, 3), b[None, :, None, None], out=np.empty((n, f, oh, ow)))
+    out = np.empty((n, f, oh, ow))
+    kmat, bias = k.reshape(f, -1), b[None, :, None, None]
+    bounds = [0, n] if keep_cols else list(range(0, n, CONV_BLOCK))[: max(n // CONV_BLOCK, 1)] + [n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        cols = _im2col(x[lo:hi], (kh, kw))
+        # Adding the bias writes the result in NCHW order, which the next layers read.
+        np.add((kmat @ cols).reshape(f, hi - lo, oh, ow).transpose(1, 0, 2, 3), bias, out=out[lo:hi])
+    return (out, cols) if keep_cols else out
 
 
 def conv2d_input_grad(dy: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -44,9 +62,14 @@ def conv2d_input_grad(dy: np.ndarray, k: np.ndarray) -> np.ndarray:
     return dx
 
 
-def conv2d_kernel_grad(x: np.ndarray, dy: np.ndarray, khw: tuple[int, int]) -> np.ndarray:
+def conv2d_kernel_grad(
+    x: np.ndarray, dy: np.ndarray, khw: tuple[int, int], cols: np.ndarray | None = None
+) -> np.ndarray:
+    """``cols`` is ``x``'s patch matrix if the forward pass kept it."""
     f = dy.shape[1]
-    dk = dy.transpose(1, 0, 2, 3).reshape(f, -1) @ _im2col(x, khw).T
+    if cols is None:
+        cols = _im2col(x, khw)
+    dk = dy.transpose(1, 0, 2, 3).reshape(f, -1) @ cols.T
     return dk.reshape(f, x.shape[1], khw[0], khw[1])
 
 
@@ -71,16 +94,19 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def max_pool2x2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def max_pool2x2(x: np.ndarray, *, with_routing: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """2x2, stride-2 max pooling on (..., H, W). Returns (pooled, routing).
 
     ``routing`` is an int8 array of the pooled shape holding, for each output
     cell, the row-major offset 0..3 of the first maximal cell of its window
     (0 top-left, 1 top-right, 2 bottom-left, 3 bottom-right), which fixes the
-    gradient tie-break.
+    gradient tie-break. Inference, which needs no gradient, passes
+    ``with_routing=False`` and gets None instead.
     """
     a, b, c, d = (x[..., i::2, j::2] for i in (0, 1) for j in (0, 1))
     top, bottom = np.maximum(a, b), np.maximum(c, d)
+    if not with_routing:
+        return np.maximum(top, bottom), None
     # First maximum in row-major order: the top row unless the bottom row's
     # maximum is strictly larger, then the left cell unless the right one is.
     lower = top < bottom

@@ -152,7 +152,7 @@ def pfl_ft(
 def _head_loss(spec: ModelSpec, features: np.ndarray, labels: np.ndarray) -> LossFn:
     """Cross-entropy of a classifier head on precomputed extractor features."""
     def loss_fn(leaves, batch):
-        return graph.cross_entropy(classify_graph(spec, leaves, graph.leaf(features[batch])), labels[batch])
+        return graph.cross_entropy(classify_graph(spec, leaves, graph.const(features[batch])), labels[batch])
 
     return loss_fn
 
@@ -163,9 +163,9 @@ def gate_loss(
     """Cross-entropy of the gate's mixture of two frozen experts' logits, as a
     loss of the gate parameters ``{"weight", "bias"}``."""
     def loss_fn(leaves, batch):
-        score = graph.dense(graph.leaf(inputs[batch]), leaves["weight"], leaves["bias"])
+        score = graph.dense(graph.const(inputs[batch]), leaves["weight"], leaves["bias"])
         g = graph.sigmoid(graph.reshape(score, (len(batch),)))
-        mixed = graph.mix(g, graph.leaf(global_logits[batch]), graph.leaf(local_logits[batch]))
+        mixed = graph.mix(g, graph.const(global_logits[batch]), graph.const(local_logits[batch]))
         return graph.cross_entropy(mixed, labels[batch])
 
     return loss_fn

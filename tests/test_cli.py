@@ -129,6 +129,39 @@ class TestFedavgCommand:
             assert "partition.json" in err and "fedmoe partition" in err
 
 
+def _edited(change):
+    """A partition.json edit that changes the parsed blob and writes it back."""
+    def edit(text):
+        blob = json.loads(text)
+        change(blob)
+        return json.dumps(blob)
+
+    return edit
+
+
+# Hand edits of partition.json, each mapping the file's text to the edited text.
+PARTITION_EDITS = {
+    "malformed_json": lambda text: text[: len(text) // 2],
+    "missing_key": _edited(lambda blob: blob.pop("clients")),
+    "client_count": _edited(lambda blob: blob["clients"][0].extend(blob["clients"].pop())),
+    "index_out_of_range": _edited(lambda blob: blob["clients"][0].append(blob["dataset_size"])),
+    "index_not_integer": _edited(lambda blob: blob["clients"][0].__setitem__(0, 0.5)),
+    "example_in_two_clients": _edited(lambda blob: blob["clients"][1].append(blob["clients"][0][0])),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(PARTITION_EDITS))
+def test_hand_edited_partition_is_rejected(workspace, capsys, edit):
+    config, out = workspace
+    run(["partition", "--config", config])
+    path = out / "partition.json"
+    path.write_text(PARTITION_EDITS[edit](path.read_text()))
+    for command in (["fedavg"], ["personalize", "--algorithm", "pfl_fb"]):
+        assert cli.main(command + ["--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "partition.json" in err and "fedmoe partition" in err
+
+
 class TestPersonalizeCommand:
     def test_metrics_schema_per_algorithm(self, workspace):
         config, out = workspace

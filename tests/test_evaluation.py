@@ -210,3 +210,21 @@ class TestMetricsSerialization:
     def test_accuracy_range_validated(self):
         with pytest.raises(EvaluationError):
             evaluation.MetricsRecord("r", "local", 0, 1.5, 0.5, 0)
+
+
+@pytest.mark.parametrize("write", [evaluation.write_metrics_csv, evaluation.write_metrics_jsonl],
+                         ids=["csv", "jsonl"])
+def test_failed_metrics_write_leaves_the_earlier_file_intact(tmp_path, write):
+    record = evaluation.MetricsRecord("run1", "pfl_fb", 0, 0.75, 0.6, 42)
+    path = tmp_path / "metrics"
+    write([record], path)
+    before = path.read_bytes()
+
+    def records_then_failure():
+        yield record
+        raise RuntimeError("record unavailable")
+
+    with pytest.raises(RuntimeError, match="record unavailable"):
+        write(records_then_failure(), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics"]

@@ -4,7 +4,7 @@ import pytest
 import oracles
 from fedmoe import federation, models
 from fedmoe.errors import UsageError
-from fedmoe.numerics import SgdConfig, graph, kernels
+from fedmoe.numerics import SgdConfig, Tensor, graph, kernels
 
 GRAD_TOL = 1e-4
 FD_STEP = 1e-5
@@ -201,3 +201,58 @@ class TestGradientPruning:
             return graph.cross_entropy(graph.dense(graph.flatten(h), graph.leaf(w), graph.leaf(b)), [1, 3])
 
         check_gradients(build, [x])
+
+
+class TestConstantValues:
+    SPEC = models.ModelSpec("lenet5", channels=1, classes=4)
+
+    def test_op_on_constants_records_nothing(self):
+        x, w, b = graph.const(np.ones((2, 3))), graph.const(np.ones((3, 2))), graph.const(np.zeros(2))
+        out = graph.relu(graph.dense(x, w, b))
+        assert not out.tracked and out.parents == () and out._backward is None
+        assert graph.dense(x, graph.leaf(np.ones((3, 2))), b).tracked
+
+    def test_sgd_epoch_batch_builds_each_patch_matrix_once(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        params = models.build_model(self.SPEC, seed=5).tensors
+        x = rng.uniform(size=(3,) + self.SPEC.input_shape)
+        builds = []
+        real = kernels._im2col
+
+        def counting(x, khw):
+            builds.append(x.shape[1])
+            return real(x, khw)
+
+        monkeypatch.setattr(kernels, "_im2col", counting)
+        federation.sgd_epochs(params, self.SPEC, x, rng.integers(0, 4, size=3), 1, 3,
+                              SgdConfig(learning_rate=0.1), np.random.default_rng(0))
+        assert builds == [1, 6]  # conv1's input channels, then conv2's
+
+    def test_inference_builds_no_backward_closure(self, monkeypatch):
+        params = models.build_model(self.SPEC, seed=6)
+        x = np.random.default_rng(54).uniform(size=(400,) + self.SPEC.input_shape)
+        closures = []
+        real_init = graph.Value.__init__
+
+        def counting_init(self, data, parents=(), backward=None, tracked=True):
+            closures.append(backward)
+            real_init(self, data, parents, backward, tracked)
+
+        monkeypatch.setattr(graph.Value, "__init__", counting_init)
+        logits = models.forward(params, Tensor(x))
+        assert logits.shape == (400, 4)
+        assert len(closures) > 10 and closures == [None] * len(closures)
+
+    def test_mix_with_constant_experts_computes_only_the_gate_gradient(self):
+        rng = np.random.default_rng(55)
+        g = graph.leaf(rng.uniform(0.2, 0.8, size=3))
+        mixed = graph.mix(g, graph.const(rng.normal(size=(3, 4))), graph.const(rng.normal(size=(3, 4))))
+        dg, dglob, dloc = mixed._backward(np.ones((3, 4)))
+        assert dg.shape == (3,) and dglob is None and dloc is None
+
+    def test_constant_is_off_the_gradient_path(self):
+        w, c = graph.leaf(np.array([3.0])), graph.const(np.array([2.0]))
+        loss = graph.sum_all(graph.mul(w, c))
+        assert graph.gradient(loss, [w])[0].tolist() == [2.0]
+        with pytest.raises(UsageError):
+            graph.gradient(loss, [c])

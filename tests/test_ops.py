@@ -112,6 +112,46 @@ class TestConvGradientsAtLenetShapes:
         assert np.allclose(kernels.conv2d_kernel_grad(x, dy, k.shape[2:]), want, rtol=0, atol=1e-12)
 
 
+class TestBlockedInference:
+    """A constant-kernel conv2d runs the batch in blocks of kernels.CONV_BLOCK
+    images, a remainder joining the last block; the output must not change."""
+
+    @pytest.fixture(scope="class", params=sorted(LENET_CONVS))
+    def layer(self, request):
+        x_shape, k_shape = LENET_CONVS[request.param]
+        rng = np.random.default_rng(47)
+        x = rng.normal(size=(400,) + x_shape[1:])
+        return x, rng.normal(size=k_shape), rng.normal(size=k_shape[0])
+
+    def test_equals_one_gemm_at_every_batch_size(self, layer):
+        x, k, b = layer
+        f, _, kh, kw = k.shape
+        side = x.shape[2] - kh + 1
+        for n in [*range(1, 131), 400]:
+            one_gemm = (k.reshape(f, -1) @ kernels._im2col(x[:n], (kh, kw))).reshape(f, n, side, side)
+            want = one_gemm.transpose(1, 0, 2, 3) + b[None, :, None, None]
+            assert np.array_equal(kernels.conv2d(x[:n], k, b), want), f"batch {n}"
+
+    def test_kept_patch_matrix_path_gives_the_same_output(self, layer):
+        x, k, b = layer
+        out, cols = kernels.conv2d(x[:97], k, b, keep_cols=True)
+        assert np.array_equal(out, kernels.conv2d(x[:97], k, b))
+        assert np.array_equal(cols, kernels._im2col(x[:97], k.shape[2:]))
+
+    def test_images_of_every_block_match_the_loop_oracle(self, layer):
+        x, k, b = layer
+        out = kernels.conv2d(x[:97], k, b)  # blocks 0-31, 32-63, 64-96
+        rows = [31, 32, 96]  # the last image of the first block, the first of the second, the last
+        assert np.allclose(out[rows], oracles.conv2d_loops(x[rows], k, b), rtol=0, atol=1e-12)
+
+    def test_kernel_grad_from_the_kept_patch_matrix_is_unchanged(self, layer):
+        x, k, b = layer
+        _, cols = kernels.conv2d(x[:10], k, b, keep_cols=True)
+        dy = np.random.default_rng(48).normal(size=kernels.conv2d(x[:10], k, b).shape)
+        assert np.array_equal(kernels.conv2d_kernel_grad(x[:10], dy, k.shape[2:], cols),
+                              kernels.conv2d_kernel_grad(x[:10], dy, k.shape[2:]))
+
+
 class TestMaxPoolRouting:
     @pytest.mark.parametrize("shape", [(2, 6, 28, 28), (2, 16, 10, 10)])
     def test_matches_loop_oracle_at_lenet_shapes(self, shape):
@@ -125,6 +165,13 @@ class TestMaxPoolRouting:
         assert np.array_equal(routing, want_routing)
         assert np.allclose(kernels.max_pool2x2_grad(dy, routing), oracles.max_pool2x2_grad_loops(x, dy),
                            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 6, 28, 28), (2, 16, 10, 10)])
+    def test_pooling_without_routing_gives_the_same_values(self, shape):
+        x = np.random.default_rng(44).integers(0, 3, size=shape).astype(np.float64)
+        pooled, routing = kernels.max_pool2x2(x, with_routing=False)
+        assert routing is None
+        assert np.array_equal(pooled, kernels.max_pool2x2(x)[0])
 
     @pytest.mark.parametrize("window, cell", [
         ([[1.0, 1.0], [1.0, 1.0]], (0, 0)),  # all equal: top-left
