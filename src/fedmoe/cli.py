@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import logging
 import os
@@ -190,20 +191,16 @@ def _client_seed(cfg: ExperimentConfig, namespace: int, client_id: int) -> int:
     return derive_seed(cfg.seed, namespace, client_id)
 
 
-def _personalize_one(
+def _personalize_full(
     cfg: ExperimentConfig,
     algorithm: str,
     client_id: int,
     indices,
     train: data.LabeledDataset,
     global_params: models.ModelParams,
-    split: models.SplitModel,
-):
-    """Train one client; returns (predictor pieces, artifact tensors, mean_g)."""
+) -> dict:
+    """Train one client's full model (local or pfl_ft); returns its tensors."""
     client_ds = train.subset(list(indices))
-    pcfg = cfg.personalization[algorithm]
-    seed = _client_seed(cfg, _SEED_PERSONALIZE, client_id)
-
     if algorithm == "local":
         trained = personalization.train_local_baseline(
             client_ds,
@@ -212,28 +209,49 @@ def _personalize_one(
             epochs=cfg.local_baseline.epochs,
             sgd=cfg.local_baseline.sgd,
             batch_size=cfg.local_baseline.batch,
+            client_id=client_id,
         )
-        return ("full", trained.tensors), dict(trained.tensors), None
+        return trained.tensors
+    seed = _client_seed(cfg, _SEED_PERSONALIZE, client_id)
+    pcfg = cfg.personalization[algorithm]
+    return personalization.pfl_ft(global_params, client_ds, pcfg, seed, client_id).personalized
 
-    if algorithm == "pfl_ft":
-        client = personalization.pfl_ft(global_params, client_ds, pcfg, seed, client_id)
-        return ("full", client.personalized), dict(client.personalized), None
 
-    if algorithm == "pfl_fb":
-        client = personalization.pfl_fb(split, client_ds, pcfg, seed, client_id)
-        return ("classifier", client.personalized), dict(client.personalized), None
+def _head_clients(cfg: ExperimentConfig, algorithm: str, partition, train: data.LabeledDataset):
+    """The clients of a head-training stack, each subset built when read."""
+    for cid, indices in enumerate(partition.clients):
+        seed = _client_seed(cfg, _SEED_PERSONALIZE, cid)
+        if algorithm == "pfl_fb":
+            yield personalization.HeadClient(cid, seed, train.subset(list(indices)))
+            continue
+        client_split = data.split_per_gate(
+            indices, cfg.personalization[algorithm].split_ratio, _client_seed(cfg, _SEED_SPLIT, cid)
+        )
+        yield personalization.HeadClient(
+            cid, seed, train.subset(client_split.per_indices), train.subset(client_split.gate_indices)
+        )
 
-    run = personalization.run_pfl_mf if algorithm == "pfl_mf" else personalization.run_pfl_mfe
-    client_split = data.split_per_gate(
-        indices, pcfg.split_ratio, _client_seed(cfg, _SEED_SPLIT, client_id)
-    )
-    per_ds = train.subset(client_split.per_indices)
-    gate_ds = train.subset(client_split.gate_indices)
-    client = run(client_id, per_ds, gate_ds, split, pcfg, seed)
-    artifact = dict(client.personalized)
-    artifact["gate.weight"] = client.gate.weights
-    artifact["gate.bias"] = Tensor(np.array([client.gate.bias]))
-    return ("moe", client), artifact, client.mean_g
+
+def _check_checkpoint(cfg: ExperimentConfig, ckpt_path: Path) -> None:
+    """The checkpoint must be the one the last ``fedavg`` run recorded."""
+    manifest_path = cfg.out_dir / "manifest_fedavg.json"
+    rerun = "re-run `fedmoe fedavg --config ...`"
+    try:
+        recorded = json.loads(manifest_path.read_text())["checkpoint_sha256"]
+    except FileNotFoundError:
+        raise ConfigError(
+            f"{manifest_path} does not exist, so checkpoint {ckpt_path} cannot be checked; {rerun}"
+        ) from None
+    except (ValueError, KeyError, TypeError):
+        raise ConfigError(
+            f"{manifest_path} records no checkpoint_sha256 for checkpoint {ckpt_path}; {rerun}"
+        ) from None
+    actual = hashlib.sha256(ckpt_path.read_bytes()).hexdigest()
+    if actual != recorded:
+        raise ConfigError(
+            f"checkpoint {ckpt_path} has sha256 {actual}, but {manifest_path} records {recorded}; "
+            f"the checkpoint is stale or was edited; {rerun}"
+        )
 
 
 class _TestSetEvaluator:
@@ -277,6 +295,7 @@ def cmd_personalize(cfg: ExperimentConfig, algorithm: str) -> int:
     ckpt_path = cfg.out_dir / "checkpoint.ckpt"
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint {ckpt_path} does not exist; run `fedmoe fedavg --config ...` first")
+    _check_checkpoint(cfg, ckpt_path)
     global_params, _ = checkpoint.load_model(ckpt_path)
     if global_params.spec != cfg.model:
         raise ConfigError(
@@ -286,23 +305,37 @@ def cmd_personalize(cfg: ExperimentConfig, algorithm: str) -> int:
     evaluator = _TestSetEvaluator(cfg, test, split)
     is_moe = algorithm in personalization.MOE_ALGORITHMS
 
-    def work(cid: int):
-        predictor, artifact, mean_g = _personalize_one(
-            cfg, algorithm, cid, partition.clients[cid], train, global_params, split
-        )
-        return cid, predictor, artifact, mean_g
+    # (predictor kind, predictor payload, artifact tensors, mean_g) per client.
+    if algorithm in ("local", "pfl_ft"):
+        def work(cid: int):
+            tensors = _personalize_full(cfg, algorithm, cid, partition.clients[cid], train, global_params)
+            return "full", tensors, dict(tensors), None
 
-    client_ids = list(range(len(partition)))
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(work, client_ids))
+        client_ids = list(range(len(partition)))
+        if cfg.workers > 1:
+            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+                results = list(pool.map(work, client_ids))
+        else:
+            results = [work(cid) for cid in client_ids]
     else:
-        results = [work(cid) for cid in client_ids]
+        clients = personalization.personalize_heads(
+            algorithm, split, _head_clients(cfg, algorithm, partition, train),
+            cfg.personalization[algorithm], cfg.workers,
+        )
+        results = []
+        for client in clients:
+            artifact = dict(client.personalized)
+            if not is_moe:
+                results.append(("classifier", client.personalized, artifact, None))
+                continue
+            artifact["gate.weight"] = client.gate.weights
+            artifact["gate.bias"] = Tensor(np.array([client.gate.bias]))
+            results.append(("moe", client, artifact, client.mean_g))
 
     artifact_dir = cfg.out_dir / "clients" / algorithm
     artifact_dir.mkdir(parents=True, exist_ok=True)
     records = []
-    for cid, (kind, payload), artifact, mean_g in results:
+    for cid, (kind, payload, artifact, mean_g) in enumerate(results):
         ratios = evaluation.class_ratios(train.labels[list(partition.clients[cid])], train.classes)
         per_class = evaluator.per_class_accuracy(kind, payload)
         local_acc = evaluation.local_test_from_per_class(per_class, ratios)
@@ -453,10 +486,9 @@ def cmd_selftest() -> int:
     check("mix at g=0 returns the local expert", np.array_equal(models.mix_outputs(0.0, glob, loc).data, loc.data))
 
     # Plain SGD equality.
-    p = {"w": Tensor(rng.normal(size=5))}
-    g = rng.normal(size=5)
-    stepped = sgd_step(p, {"w": g}, OptimizerState(), SgdConfig(learning_rate=0.1))
-    check("sgd without momentum equals param - lr*grad", np.array_equal(stepped["w"].data, p["w"].data - 0.1 * g))
+    w, g = rng.normal(size=5), rng.normal(size=5)
+    stepped = sgd_step({"w": w.copy()}, {"w": g}, OptimizerState(), SgdConfig(learning_rate=0.1))
+    check("sgd without momentum equals param - lr*grad", np.array_equal(stepped["w"], w - 0.1 * g))
 
     # Checkpoint round trip.
     spec = models.ModelSpec("mlp", channels=1, classes=3, hidden_sizes=(6,))

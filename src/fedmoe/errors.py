@@ -33,3 +33,7 @@ class DegenerateClientError(FedmoeError):
 
 class UsageError(FedmoeError):
     """An API was called in a way its contract does not allow."""
+
+
+class DivergenceError(FedmoeError):
+    """Training drove a parameter to a non-finite value."""

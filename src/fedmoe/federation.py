@@ -11,8 +11,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import ClientPartition, LabeledDataset
-from .errors import ConfigError, DimensionError
-from .models import ModelParams, ModelSpec, build_model, forward_graph, param_leaves
+from .errors import ConfigError, DimensionError, DivergenceError
+from .models import ModelParams, ModelSpec, build_model, forward_graph
 from .numerics import graph
 from .numerics.optim import OptimizerState, SgdConfig, sgd_step
 from .numerics.tensor import Tensor
@@ -81,31 +81,101 @@ def derive_seed(root: int, *key: int) -> int:
     return int(np.random.SeedSequence(root, spawn_key=tuple(key)).generate_state(1, np.uint64)[0])
 
 
-# Maps (fresh parameter leaves, batch indices) to the batch's recorded scalar loss.
+# Maps (parameter leaves, batch rows) to the recorded scalar loss. For a group
+# of G clients the leaves and rows carry a leading axis of G, and the loss is
+# the sum of the clients' batch means; a group of one has no such axis.
 LossFn = Callable[[dict[str, graph.Value], np.ndarray], graph.Value]
 
 
+def _step_groups(sizes: Sequence[int], batch_size: int) -> list[list[tuple]]:
+    """For each step t, the clients that have a t-th batch, grouped by its
+    exact size, as (selection, members, batch size).
+
+    A selection indexes the stack: a position for a group of one, a slice
+    when the members are adjacent, else an index array. In a stack ordered
+    by size, largest first, every group is adjacent.
+    """
+    steps = []
+    for start in range(0, max(sizes, default=0), batch_size):
+        groups: dict[int, list[int]] = {}
+        for k, n in enumerate(sizes):
+            if n > start:
+                groups.setdefault(min(batch_size, n - start), []).append(k)
+        step = []
+        for size, members in groups.items():
+            if len(members) == 1:
+                sel = members[0]
+            elif members[-1] - members[0] == len(members) - 1:
+                sel = slice(members[0], members[-1] + 1)
+            else:
+                sel = np.array(members)
+            step.append((sel, members, size))
+        steps.append(step)
+    return steps
+
+
+def _check_finite(view: dict[str, np.ndarray], members: list[int], trainer: str,
+                  client_ids: Sequence[int] | None, epoch: int) -> None:
+    """Raise a DivergenceError naming the first client of a stepped group
+    whose parameter is no longer finite."""
+    for name, p in view.items():
+        if np.isfinite(p).all():
+            continue
+        k = members[0] if len(members) == 1 else members[int(np.argmin(
+            np.isfinite(p).reshape(len(members), -1).all(axis=1)))]
+        raise DivergenceError(
+            f"{trainer}: parameter {name!r} of client {k if client_ids is None else client_ids[k]} "
+            f"is not finite after a step in epoch {epoch + 1}; lower the learning rate"
+        )
+
+
 def sgd_epoch(
-    params: dict[str, Tensor],
-    n: int,
+    params: dict[str, np.ndarray],
+    sizes: Sequence[int],
     batch_size: int,
     loss_fn: LossFn,
     state: OptimizerState,
     cfg: SgdConfig,
-    rng: np.random.Generator,
-) -> dict[str, Tensor]:
-    """One pass of minibatch SGD over n examples in a seeded shuffled order.
+    rngs: Sequence[np.random.Generator],
+    trainer: str = "sgd",
+    client_ids: Sequence[int] | None = None,
+) -> dict[str, np.ndarray]:
+    """One epoch of minibatch SGD for a stack of K clients, in lockstep.
 
-    Every trainer in the package runs through this loop: the full model, the
-    personalized classifier head and the gate differ only in ``loss_fn``.
+    ``params`` maps each name to a (K, ...) array and is updated in place.
+    Client k shuffles its ``sizes[k]`` examples with ``rngs[k]``; its rows
+    in the data ``loss_fn`` reads follow those of the clients before it.
+    Step t trains every client that has a t-th batch, one group per batch
+    size: one recorded loss on slices of the stack, then ``sgd_step`` on
+    those slices, so each client gets exactly the updates it would get on
+    its own. A client without a t-th batch is not touched. Every trainer in
+    the package runs through this loop; they differ only in ``loss_fn``.
     """
+    sizes = [int(n) for n in sizes]
+    offsets = np.cumsum(sizes) - sizes
+    order = np.concatenate([rng.permutation(n) + off for rng, n, off in zip(rngs, sizes, offsets)])
     names = list(params)
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        leaves = param_leaves(params)
-        loss = loss_fn(leaves, order[start : start + batch_size])
-        grads = graph.gradient(loss, [leaves[k] for k in names])
-        params = sgd_step(params, dict(zip(names, grads)), state, cfg)
+    first = not state.velocity  # step 0 of this epoch is every client's first step
+    for t, groups in enumerate(_step_groups(sizes, batch_size)):
+        start = t * batch_size
+        for sel, members, size in groups:
+            if isinstance(sel, int):
+                rows = order[offsets[sel] + start : offsets[sel] + start + size]
+            else:
+                rows = order[(offsets[sel] + start)[:, None] + np.arange(size)]
+            view = {name: p[sel] for name, p in params.items()}
+            leaves = {name: graph.leaf(v) for name, v in view.items()}
+            grads = graph.gradient(loss_fn(leaves, rows), list(leaves.values()))
+            first_step = first and t == 0
+            velocity = {} if first_step else {name: v[sel] for name, v in state.velocity.items()}
+            step = OptimizerState(velocity, state.epoch)
+            view = sgd_step(view, dict(zip(names, grads)), step, cfg)
+            if first_step or isinstance(sel, np.ndarray):  # new buffers, or copies: store them
+                for name, p in view.items():
+                    params[name][sel] = p
+                for name, v in step.velocity.items():
+                    state.velocity.setdefault(name, np.zeros_like(params[name]))[sel] = v
+            _check_finite(view, members, trainer, client_ids, state.epoch)
     state.epoch += 1
     return params
 
@@ -119,19 +189,24 @@ def sgd_epochs(
     batch_size: int,
     cfg: SgdConfig,
     rng: np.random.Generator,
+    trainer: str = "sgd",
+    client_id: int = 0,
 ) -> dict[str, Tensor]:
-    """Full-model minibatch SGD on the cross-entropy of (features, labels)."""
+    """Full-model minibatch SGD on the cross-entropy of (features, labels),
+    as a stack of one client."""
     def loss_fn(leaves, batch):
         return graph.cross_entropy(forward_graph(spec, leaves, graph.const(features[batch])), labels[batch])
 
+    stack = {name: t.data[None].copy() for name, t in params.items()}
     state = OptimizerState()
     for _ in range(epochs):
-        params = sgd_epoch(params, len(labels), batch_size, loss_fn, state, cfg, rng)
-    return params
+        sgd_epoch(stack, [len(labels)], batch_size, loss_fn, state, cfg, [rng], trainer, [client_id])
+    return {name: Tensor._wrap(p[0]) for name, p in stack.items()}
 
 
 def local_update(
-    params: ModelParams, client_data: LabeledDataset, cfg: FedConfig, seed: int
+    params: ModelParams, client_data: LabeledDataset, cfg: FedConfig, seed: int,
+    trainer: str = "fedavg", client_id: int = 0,
 ) -> tuple[ModelParams, int]:
     """One client's contribution: local_epochs of minibatch SGD from the
     delivered global parameters. Returns (updated params, example count)."""
@@ -147,6 +222,8 @@ def local_update(
         cfg.local_batch,
         cfg.sgd,
         rng,
+        trainer,
+        client_id,
     )
     return ModelParams(params.spec, trained), len(client_data)
 
@@ -211,7 +288,8 @@ def train_federated(
 
     def run_client(round_index: int, client_id: int, current: ModelParams) -> ClientUpdate:
         updated, count = local_update(
-            current, client_data[client_id], cfg, derive_seed(cfg.seed, round_index, client_id)
+            current, client_data[client_id], cfg, derive_seed(cfg.seed, round_index, client_id),
+            f"fedavg round {round_index}", client_id,
         )
         return ClientUpdate(client_id, updated, count)
 

@@ -10,6 +10,10 @@ constants only records nothing: it returns a constant with no parents and no
 backward closure, so inference builds no graph and frees each activation as
 soon as the next layer has read it. A tracked node's ``_backward(g)`` maps
 the upstream gradient to one gradient per parent, None for constant parents.
+
+``dense``, the activations, ``reshape``, ``mix`` and ``cross_entropy`` also
+take a leading client axis: K clients' parameters and batches stacked, one
+loss for all of them, each slice's gradient equal to that client's own.
 """
 
 from __future__ import annotations
@@ -66,9 +70,9 @@ def dense(x: Value, w: Value, b: Value) -> Value:
 
     def backward(g):
         return (
-            g @ w.data.T if x.tracked else None,
-            x.data.T @ g if w.tracked else None,
-            g.sum(axis=0) if b.tracked else None,
+            g @ w.data.swapaxes(-1, -2) if x.tracked else None,
+            x.data.swapaxes(-1, -2) @ g if w.tracked else None,
+            g.sum(axis=-2) if b.tracked else None,
         )
 
     return _record(out, (x, w, b), backward)
@@ -137,22 +141,21 @@ def sum_all(x: Value) -> Value:
 def mix(g: Value, global_out: Value, local_out: Value) -> Value:
     """Per-row convex mixing of two expert outputs: g*global + (1-g)*local.
 
-    ``g`` has shape (batch,), the experts (batch, classes); the gradient with
-    respect to g is the per-row inner product of the upstream gradient with
-    the expert difference.
+    ``g`` has shape (..., batch), the experts (..., batch, classes); the
+    gradient with respect to g is the per-row inner product of the upstream
+    gradient with the expert difference.
     """
-    if g.data.ndim != 1 or global_out.data.shape != local_out.data.shape or \
-            global_out.data.shape[0] != g.data.shape[0]:
+    if global_out.data.shape != local_out.data.shape or global_out.data.shape[:-1] != g.data.shape:
         raise DimensionError(
             f"mix: gate {g.data.shape} does not conform with experts "
             f"{global_out.data.shape} and {local_out.data.shape}"
         )
-    gw = g.data[:, None]
+    gw = g.data[..., None]
     out = gw * global_out.data + (1.0 - gw) * local_out.data
 
     def backward(d):
         return (
-            (d * (global_out.data - local_out.data)).sum(axis=1) if g.tracked else None,
+            (d * (global_out.data - local_out.data)).sum(axis=-1) if g.tracked else None,
             d * gw if global_out.tracked else None,
             d * (1.0 - gw) if local_out.tracked else None,
         )

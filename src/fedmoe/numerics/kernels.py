@@ -1,7 +1,9 @@
 """Raw ndarray math behind the recorded graph and the inference paths.
 
 Everything here is float64 in, float64 out, with no shape validation;
-callers are responsible for conformance checks.
+callers are responsible for conformance checks. ``dense`` and the
+cross-entropy kernels also take a leading client axis: a stack of K
+clients' batches, each slice computed as on its own.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 
 def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return x @ w + b
+    return x @ w + b[..., None, :]
 
 
 def _im2col(x: np.ndarray, khw: tuple[int, int]) -> np.ndarray:
@@ -123,11 +125,12 @@ def max_pool2x2_grad(dy: np.ndarray, routing: np.ndarray) -> np.ndarray:
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    lsm = log_softmax(logits)
-    return float(-lsm[np.arange(len(labels)), labels].mean())
+    """Mean loss over the batch axis, summed over a leading client axis."""
+    picked = log_softmax(logits)[(*np.indices(labels.shape, sparse=True), labels)]
+    return float(-picked.mean(axis=-1).sum())
 
 
 def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     p = softmax(logits)
-    p[np.arange(len(labels)), labels] -= 1.0
-    return p / len(labels)
+    p[(*np.indices(labels.shape, sparse=True), labels)] -= 1.0
+    return p / labels.shape[-1]

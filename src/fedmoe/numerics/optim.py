@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, DimensionError
-from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,8 @@ class OptimizerState:
     """Per-parameter momentum buffers plus the epoch counter driving lr decay.
 
     Single-owner mutable: each training loop keeps its own state and bumps
-    ``epoch`` once per data pass.
+    ``epoch`` once per data pass. A buffer is shaped like its parameter, so a
+    client stack's buffers carry the stack axis too.
     """
 
     velocity: dict[str, np.ndarray] = field(default_factory=dict)
@@ -49,26 +49,30 @@ class OptimizerState:
 
 
 def sgd_step(
-    params: dict[str, Tensor],
+    params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: OptimizerState,
     cfg: SgdConfig,
-) -> dict[str, Tensor]:
-    """One update: v <- m*v + (grad + wd*param); param <- param - lr_epoch * v."""
+) -> dict[str, np.ndarray]:
+    """One update, in place: v <- m*v + (grad + wd*param); param <- param - lr_epoch * v.
+
+    A parameter without a velocity buffer takes its first step, which sets
+    v to exactly grad + wd*param. Returns ``params``, now updated.
+    """
     lr = cfg.effective_lr(state.epoch)
-    out: dict[str, Tensor] = {}
     for name, p in params.items():
         g = grads[name]
-        g = g.data if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
         if g.shape != p.shape:
             raise DimensionError(f"sgd_step: gradient {g.shape} does not match parameter {name!r} {p.shape}")
         if cfg.weight_decay:
-            g = g + cfg.weight_decay * p.data
+            g = g + cfg.weight_decay * p
         if cfg.momentum:
             v = state.velocity.get(name)
-            v = g if v is None else cfg.momentum * v + g
-            state.velocity[name] = v
-        else:
-            v = g
-        out[name] = Tensor._wrap(p.data - lr * v)
-    return out
+            if v is None:
+                g = state.velocity[name] = np.array(g)
+            else:
+                v *= cfg.momentum
+                v += g
+                g = v
+        p -= lr * g
+    return params

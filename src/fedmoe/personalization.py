@@ -5,11 +5,17 @@ The expert-mixing algorithms alternate, within every epoch, one adaptation
 pass over the client's adaptation subset (updating only the personalized
 classifier) with one gating pass over the gate subset (updating only the
 gate weights, both experts frozen).
+
+``pfl_fb``, ``pfl_mf`` and ``pfl_mfe`` freeze the extractor, so every
+client's head (and gate) trains on cached features, and
+:func:`personalize_heads` trains all clients as one stack in lockstep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -110,13 +116,15 @@ def train_local_baseline(
     epochs: int = LOCAL_BASELINE_EPOCHS,
     sgd: SgdConfig = LOCAL_BASELINE_SGD,
     batch_size: int = LOCAL_BASELINE_BATCH,
+    client_id: int = 0,
 ) -> ModelParams:
     """From-scratch training on the client's own data only."""
     params = build_model(spec, seed)
     # Shuffle stream must be independent of the init stream, which consumed seed.
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     trained = sgd_epochs(
-        params.tensors, spec, client_data.features.data, client_data.labels, epochs, batch_size, sgd, rng
+        params.tensors, spec, client_data.features.data, client_data.labels, epochs, batch_size, sgd, rng,
+        "local", client_id,
     )
     return ModelParams(spec, trained)
 
@@ -139,6 +147,8 @@ def pfl_ft(
         cfg.batch_size,
         cfg.adapt_sgd(),
         rng,
+        "pfl_ft",
+        client_id,
     )
     return PersonalizedClient(
         client_id=client_id,
@@ -164,11 +174,170 @@ def gate_loss(
     loss of the gate parameters ``{"weight", "bias"}``."""
     def loss_fn(leaves, batch):
         score = graph.dense(graph.const(inputs[batch]), leaves["weight"], leaves["bias"])
-        g = graph.sigmoid(graph.reshape(score, (len(batch),)))
+        g = graph.sigmoid(graph.reshape(score, batch.shape))
         mixed = graph.mix(g, graph.const(global_logits[batch]), graph.const(local_logits[batch]))
         return graph.cross_entropy(mixed, labels[batch])
 
     return loss_fn
+
+
+@dataclass(frozen=True)
+class HeadClient:
+    """One client of a head-training stack: its id, the seed of its shuffles,
+    its adaptation data, and for pfl_mf / pfl_mfe its gate subset."""
+
+    client_id: int
+    seed: int
+    data: LabeledDataset
+    gate_data: LabeledDataset | None = None
+
+
+@dataclass(frozen=True)
+class _Cached:
+    """A head client's frozen-extractor view: features of its adaptation
+    set, and for the mixtures the gate set's features, gate inputs and
+    global-expert logits."""
+
+    client_id: int
+    seed: int
+    features: np.ndarray
+    labels: np.ndarray
+    gate_features: Tensor | None = None
+    gate_inputs: np.ndarray | None = None
+    global_logits: np.ndarray | None = None
+    gate_labels: np.ndarray | None = None
+
+
+def _gate_inputs(mode: str, raw: Tensor, features: Tensor | None) -> Tensor:
+    """What a gate reads: the flattened raw inputs or the shared features."""
+    if mode == "raw":
+        return Tensor._wrap(raw.data.reshape(len(raw), -1))
+    return features
+
+
+def _cache(split: SplitModel, client: HeadClient, input_mode: str | None) -> _Cached:
+    """One client's extractor passes, each a call of its own: batching
+    several clients into one pass would change the GEMM shapes, and bits."""
+    features = extract_features(split, client.data.features).data
+    if input_mode is None:
+        return _Cached(client.client_id, client.seed, features, client.data.labels)
+    gate_raw = client.gate_data.features
+    gate_feats = extract_features(split, gate_raw)
+    return _Cached(
+        client.client_id, client.seed, features, client.data.labels, gate_feats,
+        _gate_inputs(input_mode, gate_raw, gate_feats).data, classify(split, gate_feats).data,
+        client.gate_data.labels,
+    )
+
+
+def _stack(tensors: dict[str, Tensor], k: int) -> dict[str, np.ndarray]:
+    """k writable copies of each tensor, stacked on a leading client axis."""
+    return {name: np.repeat(t.data[None], k, axis=0) for name, t in tensors.items()}
+
+
+def _unstack(stack: dict[str, np.ndarray], k: int) -> dict[str, Tensor]:
+    """Client k's frozen slice of every stacked array."""
+    return {name: Tensor._wrap(a[k]) for name, a in stack.items()}
+
+
+def _train_fb(split: SplitModel, cached: list[_Cached], cfg: PersonalizationConfig) -> list[PersonalizedClient]:
+    """Freeze-base fine-tuning of a stack: every client's head, in lockstep."""
+    heads = _stack(split.classifier, len(cached))
+    loss_fn = _head_loss(split.spec, np.concatenate([c.features for c in cached]),
+                         np.concatenate([c.labels for c in cached]))
+    sizes, ids = [len(c.labels) for c in cached], [c.client_id for c in cached]
+    rngs = [np.random.default_rng(c.seed) for c in cached]
+    state, sgd = OptimizerState(), cfg.adapt_sgd()
+    for _ in range(cfg.epochs):
+        sgd_epoch(heads, sizes, cfg.batch_size, loss_fn, state, sgd, rngs, "pfl_fb", ids)
+    return [PersonalizedClient(c.client_id, "pfl_fb", _unstack(heads, k), None, split)
+            for k, c in enumerate(cached)]
+
+
+def _run_moe(
+    split: SplitModel, cached: list[_Cached], cfg: PersonalizationConfig, input_mode: str
+) -> list[PersonalizedClient]:
+    """Shared body of the two expert-mixing algorithms, for a stack.
+
+    Per epoch: one adaptation pass over each adaptation subset (classifier
+    only), then one gating pass over each gate subset with the experts as
+    they stand after that adaptation pass. A client's generator draws its
+    adaptation shuffle, then its gate shuffle. The global classifier and the
+    extractor never change; the extractor being shared lets every pass
+    reuse cached activations.
+    """
+    algorithm = "pfl_mf" if input_mode == "raw" else "pfl_mfe"
+    heads = _stack(split.classifier, len(cached))
+    gates = _stack({"weight": init_gate(split.spec, input_mode).weights, "bias": Tensor._wrap(np.zeros(1))},
+                   len(cached))
+    adapt_loss = _head_loss(split.spec, np.concatenate([c.features for c in cached]),
+                            np.concatenate([c.labels for c in cached]))
+    gate_inputs = np.concatenate([c.gate_inputs for c in cached])
+    global_logits = np.concatenate([c.global_logits for c in cached])
+    gate_labels = np.concatenate([c.gate_labels for c in cached])
+    sizes, gate_sizes = [len(c.labels) for c in cached], [len(c.gate_labels) for c in cached]
+    ids = [c.client_id for c in cached]
+    rngs = [np.random.default_rng(c.seed) for c in cached]
+    adapt_state, gate_state = OptimizerState(), OptimizerState()
+    adapt_sgd, gate_sgd = cfg.adapt_sgd(), cfg.gate_sgd()
+    for _ in range(cfg.epochs):
+        sgd_epoch(heads, sizes, cfg.batch_size, adapt_loss, adapt_state, adapt_sgd, rngs, algorithm, ids)
+        local_logits = np.concatenate([
+            classify(split, c.gate_features, classifier={name: a[k] for name, a in heads.items()}).data
+            for k, c in enumerate(cached)
+        ])
+        loss_fn = gate_loss(gate_inputs, global_logits, local_logits, gate_labels)
+        sgd_epoch(gates, gate_sizes, cfg.batch_size, loss_fn, gate_state, gate_sgd, rngs, algorithm, ids)
+    clients = []
+    for k, c in enumerate(cached):
+        gate = GatingParams(Tensor._wrap(gates["weight"][k]), float(gates["bias"][k, 0]), input_mode)
+        # The mean_gate_weight of the gate set, from the inputs already at hand.
+        mean_g = float(gate_forward(gate, Tensor._wrap(c.gate_inputs)).data.mean())
+        clients.append(PersonalizedClient(c.client_id, algorithm, _unstack(heads, k), gate, split, mean_g))
+    return clients
+
+
+def personalize_heads(
+    algorithm: str,
+    split: SplitModel,
+    clients: Iterable[HeadClient],
+    cfg: PersonalizationConfig,
+    workers: int = 1,
+) -> list[PersonalizedClient]:
+    """pfl_fb, pfl_mf or pfl_mfe for many clients, returned in input order.
+
+    Each client's extractor passes run as it is read, so its raw adaptation
+    subset can be freed before the next is built. The clients then train as
+    one stack ordered by size, largest first, so every lockstep group is a
+    contiguous slice. ``workers`` threads each train a strided shard of that
+    order; a client's result does not depend on its shard.
+    """
+    if algorithm not in ("pfl_fb", *MOE_ALGORITHMS):
+        raise ConfigError(f"algorithm: personalize_heads trains pfl_fb, pfl_mf or pfl_mfe, got {algorithm!r}")
+    input_mode = {"pfl_fb": None, "pfl_mf": "raw", "pfl_mfe": "feature"}[algorithm]
+    cached = [_cache(split, c, input_mode) for c in clients]
+
+    def size(i: int) -> tuple[int, int]:
+        gate_labels = cached[i].gate_labels
+        return len(cached[i].labels), 0 if gate_labels is None else len(gate_labels)
+
+    order = sorted(range(len(cached)), key=size, reverse=True)
+    shards = [order[j::workers] for j in range(min(max(workers, 1), len(order)))]
+
+    def train(shard: list[int]) -> list[PersonalizedClient]:
+        stack = [cached[i] for i in shard]
+        return _train_fb(split, stack, cfg) if input_mode is None else _run_moe(split, stack, cfg, input_mode)
+
+    if len(shards) > 1:
+        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
+            trained = list(pool.map(train, shards))
+    else:
+        trained = [train(shard) for shard in shards]
+    out: list[PersonalizedClient | None] = [None] * len(cached)
+    for shard, results in zip(shards, trained):
+        for i, client in zip(shard, results):
+            out[i] = client
+    return out
 
 
 def pfl_fb(
@@ -183,70 +352,7 @@ def pfl_fb(
     The extractor is frozen, so its activations are computed once and the
     adaptation epochs run on the classifier head alone.
     """
-    features = extract_features(split, client_data.features).data
-    loss_fn = _head_loss(split.spec, features, client_data.labels)
-    classifier = dict(split.classifier)
-    state = OptimizerState()
-    rng = np.random.default_rng(seed)
-    sgd = cfg.adapt_sgd()
-    for _ in range(cfg.epochs):
-        classifier = sgd_epoch(classifier, len(client_data), cfg.batch_size, loss_fn, state, sgd, rng)
-    return PersonalizedClient(
-        client_id=client_id, algorithm="pfl_fb", personalized=classifier, gate=None, split=split
-    )
-
-
-def _gate_inputs(mode: str, raw: Tensor, features: Tensor | None) -> Tensor:
-    """What a gate reads: the flattened raw inputs or the shared features."""
-    if mode == "raw":
-        return Tensor._wrap(raw.data.reshape(len(raw), -1))
-    return features
-
-
-def _run_moe(
-    client_id: int,
-    per_data: LabeledDataset,
-    gate_data: LabeledDataset,
-    split: SplitModel,
-    cfg: PersonalizationConfig,
-    input_mode: str,
-    seed: int,
-) -> PersonalizedClient:
-    """Shared body of the two expert-mixing algorithms.
-
-    Per epoch: one adaptation pass over the adaptation subset (classifier
-    only), then one gating pass over the gate subset with the experts as they
-    stand after that adaptation pass. The global classifier and the extractor
-    never change; the extractor being shared lets every pass reuse cached
-    activations.
-    """
-    spec = split.spec
-    per_feats = extract_features(split, per_data.features).data
-    gate_feats = extract_features(split, gate_data.features)
-    global_logits = classify(split, gate_feats).data
-    gate_inputs = _gate_inputs(input_mode, gate_data.features, gate_feats).data
-    adapt_loss = _head_loss(spec, per_feats, per_data.labels)
-
-    classifier = dict(split.classifier)
-    gate = {"weight": init_gate(spec, input_mode).weights, "bias": Tensor._wrap(np.zeros(1))}
-    adapt_state, gate_state = OptimizerState(), OptimizerState()
-    adapt_sgd, gate_sgd = cfg.adapt_sgd(), cfg.gate_sgd()
-    rng = np.random.default_rng(seed)
-    for _ in range(cfg.epochs):
-        classifier = sgd_epoch(
-            classifier, len(per_data), cfg.batch_size, adapt_loss, adapt_state, adapt_sgd, rng
-        )
-        local_logits = classify(split, gate_feats, classifier=classifier).data
-        loss_fn = gate_loss(gate_inputs, global_logits, local_logits, gate_data.labels)
-        gate = sgd_epoch(gate, len(gate_data), cfg.batch_size, loss_fn, gate_state, gate_sgd, rng)
-    client = PersonalizedClient(
-        client_id=client_id,
-        algorithm="pfl_mf" if input_mode == "raw" else "pfl_mfe",
-        personalized=classifier,
-        gate=GatingParams(gate["weight"], float(gate["bias"].data[0]), input_mode),
-        split=split,
-    )
-    return replace(client, mean_g=mean_gate_weight(client, gate_data, gate_feats))
+    return personalize_heads("pfl_fb", split, [HeadClient(client_id, seed, client_data)], cfg)[0]
 
 
 def run_pfl_mf(
@@ -258,7 +364,7 @@ def run_pfl_mf(
     seed: int,
 ) -> PersonalizedClient:
     """Expert mixing with the gate reading raw (flattened) inputs."""
-    return _run_moe(client_id, per_data, gate_data, split, cfg, "raw", seed)
+    return personalize_heads("pfl_mf", split, [HeadClient(client_id, seed, per_data, gate_data)], cfg)[0]
 
 
 def run_pfl_mfe(
@@ -270,7 +376,7 @@ def run_pfl_mfe(
     seed: int,
 ) -> PersonalizedClient:
     """Expert mixing with the gate reading extractor activations."""
-    return _run_moe(client_id, per_data, gate_data, split, cfg, "feature", seed)
+    return personalize_heads("pfl_mfe", split, [HeadClient(client_id, seed, per_data, gate_data)], cfg)[0]
 
 
 def _gate_weights(

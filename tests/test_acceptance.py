@@ -307,16 +307,16 @@ def test_criterion_6_gate_safety():
         feats = models.extract_features(split, gate_ds.features).data
         glog = models.classify(split, Tensor._wrap(feats)).data
         llog = models.classify(split, Tensor._wrap(feats), classifier=corrupted).data
-        gate = {"weight": models.init_gate(spec, "raw").weights, "bias": Tensor(np.zeros(1))}
+        gate = {"weight": models.init_gate(spec, "raw").weights.data[None].copy(), "bias": np.zeros((1, 1))}
         state = OptimizerState()
         gate_rng = np.random.default_rng(7)
         inputs = gate_ds.features.data.reshape(len(gate_ds), -1)
         loss_fn = personalization.gate_loss(inputs, glog, llog, gate_ds.labels)
         for _ in range(30):
             gate = federation.sgd_epoch(
-                gate, len(gate_ds), 16, loss_fn, state, SgdConfig(learning_rate=0.1), gate_rng
+                gate, [len(gate_ds)], 16, loss_fn, state, SgdConfig(learning_rate=0.1), [gate_rng]
             )
-        gate = models.GatingParams(gate["weight"], float(gate["bias"].data[0]), "raw")
+        gate = models.GatingParams(Tensor(gate["weight"][0]), float(gate["bias"][0, 0]), "raw")
         client = personalization.PersonalizedClient(0, "pfl_mf", corrupted, gate, split)
         mean_g = personalization.mean_gate_weight(client, gate_ds)
         assert mean_g > 0.5, f"seed {seed}: mean gate weight {mean_g:.3f}"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,64 @@ class TestPersonalizeCommand:
         run(["partition", "--config", config])
         assert cli.main(["personalize", "--config", str(config), "--algorithm", "pfl_fb"]) == 2
         assert "fedmoe fedavg" in capsys.readouterr().err
+
+    def test_checkpoint_without_its_fedavg_manifest_is_rejected(self, workspace, capsys):
+        config, out = workspace
+        run(["partition", "--config", config])
+        run(["fedavg", "--config", config])
+        (out / "manifest_fedavg.json").unlink()
+        assert cli.main(["personalize", "--config", str(config), "--algorithm", "pfl_fb"]) == 2
+        err = capsys.readouterr().err
+        assert "checkpoint.ckpt" in err and "manifest_fedavg.json" in err and "re-run `fedmoe fedavg" in err
+
+    def test_checkpoint_that_is_not_the_recorded_one_is_rejected(self, workspace, capsys):
+        config, out = workspace
+        run(["partition", "--config", config])
+        run(["fedavg", "--config", config])
+        params, manifest = checkpoint.load_model(out / "checkpoint.ckpt")
+        checkpoint.save_model(out / "checkpoint.ckpt", params, extra={**manifest, "round": manifest["round"] + 1})
+        assert cli.main(["personalize", "--config", str(config), "--algorithm", "pfl_fb"]) == 2
+        err = capsys.readouterr().err
+        assert "checkpoint.ckpt" in err and "manifest_fedavg.json" in err and "re-run `fedmoe fedavg" in err
+
+    @pytest.mark.parametrize("algorithm", ["pfl_fb", "pfl_mf", "pfl_mfe"])
+    def test_client_checkpoints_do_not_depend_on_the_worker_count(self, workspace, algorithm):
+        config, out = workspace
+        run(["partition", "--config", config])
+        run(["fedavg", "--config", config])
+        written = {}
+        for workers in ("1", "3"):
+            run(["personalize", "--config", config, "--algorithm", algorithm, "--workers", workers])
+            paths = sorted((out / "clients" / algorithm).glob("client_*.ckpt"))
+            paths.append(out / f"metrics_{algorithm}.csv")
+            written[workers] = {p.name: p.read_bytes() for p in paths}
+        assert len(written["1"]) == 7 and written["1"] == written["3"]
+
+
+class TestDivergence:
+    """A learning rate that drives a parameter to inf or NaN ends in a typed
+    error that says where, not in a traceback."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fedavg(self, workspace, capsys):
+        config, out = workspace
+        config.write_text(CONFIG.format(out=out).replace("lr = 0.05\nmomentum = 0.5", "lr = 1e200\nmomentum = 0.5"))
+        run(["partition", "--config", config])
+        assert cli.main(["fedavg", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: fedavg round 1: parameter '[\w.]+' of client \d+ is not finite after a step "
+                            r"in epoch [12]; lower the learning rate\n", err)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_pfl_fb(self, workspace, capsys):
+        config, out = workspace
+        run(["partition", "--config", config])
+        run(["fedavg", "--config", config])
+        config.write_text(CONFIG.format(out=out).replace("adapt_lr = 0.01", "adapt_lr = 1e200"))
+        assert cli.main(["personalize", "--config", str(config), "--algorithm", "pfl_fb"]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: pfl_fb: parameter 'out\.(weight|bias)' of client \d+ is not finite after a "
+                            r"step in epoch \d; lower the learning rate\n", err)
 
 
 class TestReportCommand:

@@ -228,7 +228,7 @@ class TestSynthetic:
 
         rng = np.random.default_rng(0)
         dim = train.channels * train.side * train.side
-        params = {"w": Tensor(rng.normal(scale=0.01, size=(dim, 3))), "b": Tensor(np.zeros(3))}
+        params = {"w": rng.normal(scale=0.01, size=(dim, 3)), "b": np.zeros(3)}
         state = OptimizerState()
         cfg = SgdConfig(learning_rate=0.05)
         flat = train.features.data.reshape(len(train), -1)
@@ -240,7 +240,7 @@ class TestSynthetic:
             params = sgd_step(params, {"w": grads[0], "b": grads[1]}, state, cfg)
 
         test_flat = test.features.data.reshape(len(test), -1)
-        pred = (test_flat @ params["w"].data + params["b"].data).argmax(axis=1)
+        pred = (test_flat @ params["w"] + params["b"]).argmax(axis=1)
         assert (pred == test.labels).mean() >= 0.95
 
     def test_test_set_shares_patterns_not_noise(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedmoe import data, evaluation, federation, models
-from fedmoe.errors import ConfigError
+from fedmoe.errors import ConfigError, DivergenceError
 from fedmoe.numerics import SgdConfig, Tensor, graph, kernels, sgd_step
 from fedmoe.numerics.optim import OptimizerState
 
@@ -54,9 +54,10 @@ class TestLocalUpdate:
         loss = graph.cross_entropy(logits, ds.labels[order])
         names = list(params.tensors)
         grads = graph.gradient(loss, [leaves[k] for k in names])
-        want = sgd_step(params.tensors, dict(zip(names, grads)), OptimizerState(), cfg.sgd)
+        start = {k: t.data.copy() for k, t in params.tensors.items()}
+        want = sgd_step(start, dict(zip(names, grads)), OptimizerState(), cfg.sgd)
 
-        assert all(np.array_equal(updated.tensors[k].data, want[k].data) for k in names)
+        assert all(np.array_equal(updated.tensors[k].data, want[k]) for k in names)
 
     def test_loss_non_increasing_on_separable_data(self):
         ds = tiny_dataset(seed=3, noise=0.05, center_jitter=0.3)
@@ -213,3 +214,123 @@ class TestSampling:
         c = federation.sample_clients(100, 0.1, round_index=6, seed=1)
         assert a == b
         assert a != c
+
+
+class TestClientStack:
+    """sgd_epoch trains a stack of clients exactly as each would train alone."""
+
+    SGD = SgdConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.01, lr_decay_factor=0.5, lr_decay_every=1)
+    FEATURES, HIDDEN, CLASSES = 6, 5, 3
+
+    def head(self, seed):
+        rng = np.random.default_rng(seed)
+        return {
+            "w1": rng.normal(size=(self.FEATURES, self.HIDDEN)), "b1": rng.normal(size=self.HIDDEN),
+            "w2": rng.normal(size=(self.HIDDEN, self.CLASSES)), "b2": rng.normal(size=self.CLASSES),
+        }
+
+    def data(self, sizes, seed=0):
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        return rng.normal(size=(n, self.FEATURES)), rng.integers(0, self.CLASSES, size=n)
+
+    @staticmethod
+    def loss_fn(x, y):
+        def loss(leaves, rows):
+            h = graph.relu(graph.dense(graph.const(x[rows]), leaves["w1"], leaves["b1"]))
+            return graph.cross_entropy(graph.dense(h, leaves["w2"], leaves["b2"]), y[rows])
+
+        return loss
+
+    def stacked(self, sizes, epochs, batch_size, order=None):
+        """The clients in ``order`` (default: all) as one stack; per client,
+        its (parameters, velocity) after each epoch."""
+        order = list(range(len(sizes))) if order is None else order
+        x, y = self.data(sizes)
+        bounds = np.cumsum([0] + list(sizes))
+        rows = np.concatenate([np.arange(bounds[k], bounds[k + 1]) for k in order])
+        heads = [self.head(k) for k in order]
+        params = {name: np.stack([h[name] for h in heads]) for name in heads[0]}
+        state = OptimizerState()
+        rngs = [np.random.default_rng(100 + k) for k in order]
+        loss = self.loss_fn(x[rows], y[rows])
+        snapshots = {k: [] for k in order}
+        for _ in range(epochs):
+            federation.sgd_epoch(params, [sizes[k] for k in order], batch_size, loss, state, self.SGD, rngs)
+            for i, k in enumerate(order):
+                snapshots[k].append(({n: p[i].copy() for n, p in params.items()},
+                                     {n: v[i].copy() for n, v in state.velocity.items()}))
+        return snapshots
+
+    def reference(self, sizes, k, epochs, batch_size):
+        """Client k trained by the one-client loop written out: a shuffle per
+        epoch, then one recorded loss and one sgd_step per batch."""
+        x, y = self.data(sizes)
+        lo = sum(sizes[:k])
+        x, y = x[lo : lo + sizes[k]], y[lo : lo + sizes[k]]
+        params, state, rng = self.head(k), OptimizerState(), np.random.default_rng(100 + k)
+        snapshots = []
+        for _ in range(epochs):
+            order = rng.permutation(sizes[k])
+            for start in range(0, sizes[k], batch_size):
+                leaves = {n: graph.leaf(p) for n, p in params.items()}
+                loss = self.loss_fn(x, y)(leaves, order[start : start + batch_size])
+                sgd_step(params, dict(zip(params, graph.gradient(loss, list(leaves.values())))), state, self.SGD)
+            state.epoch += 1
+            snapshots.append(({n: p.copy() for n, p in params.items()},
+                              {n: v.copy() for n, v in state.velocity.items()}))
+        return snapshots
+
+    @staticmethod
+    def assert_same(got, want):
+        for (p, v), (wp, wv) in zip(got, want, strict=True):
+            assert p.keys() == wp.keys() and v.keys() == wv.keys()
+            assert all(np.array_equal(p[n], wp[n]) for n in p)
+            assert all(np.array_equal(v[n], wv[n]) for n in v)
+
+    # Batch 8: full batches, last batches of 7 and 5, and clients that run
+    # out after one, two or three steps while the first takes four.
+    SIZES = [31, 24, 16, 16, 13, 7, 5, 5]
+
+    def test_stack_equals_stacks_of_one(self):
+        stacked = self.stacked(self.SIZES, 3, 8)
+        for k in range(len(self.SIZES)):
+            alone = self.stacked(self.SIZES, 3, 8, [k])[k]
+            self.assert_same(stacked[k], alone)
+            self.assert_same(alone, self.reference(self.SIZES, k, 3, 8))
+
+    def test_one_batch_client_beside_a_four_batch_client_keeps_its_solo_state(self):
+        sizes = [32, 6]
+        stacked = self.stacked(sizes, 4, 8)
+        for k in (0, 1):
+            self.assert_same(stacked[k], self.stacked(sizes, 4, 8, [k])[k])
+
+    def test_permuted_stack_gives_the_same_clients(self):
+        # Not ordered by size, so same-size groups are not adjacent.
+        order = [5, 0, 3, 7, 2, 6, 1, 4]
+        first = federation._step_groups([self.SIZES[k] for k in order], 8)[0]
+        assert [(sel.tolist(), size) for sel, _, size in first if isinstance(sel, np.ndarray)] == [
+            ([1, 2, 4, 6, 7], 8), ([3, 5], 5)
+        ]
+        permuted, ordered = self.stacked(self.SIZES, 2, 8, order), self.stacked(self.SIZES, 2, 8)
+        for k in order:
+            self.assert_same(permuted[k], ordered[k])
+
+    def test_groups_of_a_size_ordered_stack_are_slices(self):
+        steps = federation._step_groups(self.SIZES, 8)
+        assert [[(sel, size) for sel, _, size in step] for step in steps] == [
+            [(slice(0, 5), 8), (5, 7), (slice(6, 8), 5)],
+            [(slice(0, 4), 8), (4, 5)],
+            [(slice(0, 2), 8)],
+            [(0, 7)],
+        ]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_step_names_trainer_client_parameter_and_epoch(self):
+        x, y = self.data([16, 16])
+        x[16:] *= 1e200  # only the second client diverges
+        params = {name: np.stack([p, p]) for name, p in self.head(0).items()}
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        with pytest.raises(DivergenceError, match=r"^pfl_fb: parameter 'w1' of client 3 is not finite .* epoch 1;"):
+            federation.sgd_epoch(params, [16, 16], 8, self.loss_fn(x, y), OptimizerState(),
+                                 SgdConfig(learning_rate=1.0), rngs, "pfl_fb", [7, 3])

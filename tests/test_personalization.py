@@ -38,12 +38,12 @@ def global_model(seed=11):
 def fit_gate(mode, inputs, global_logits, local_logits, labels, cfg, seed):
     """A zero-initialized gate trained on frozen expert logits with the
     production gate loss and SGD epoch."""
-    gate = {"weight": models.init_gate(SPEC, mode).weights, "bias": Tensor(np.zeros(1))}
+    gate = {"weight": models.init_gate(SPEC, mode).weights.data[None].copy(), "bias": np.zeros((1, 1))}
     loss_fn = personalization.gate_loss(inputs, global_logits, local_logits, labels)
     state, rng = OptimizerState(), np.random.default_rng(seed)
     for _ in range(cfg.epochs):
-        gate = federation.sgd_epoch(gate, len(labels), cfg.batch_size, loss_fn, state, cfg.gate_sgd(), rng)
-    return models.GatingParams(gate["weight"], float(gate["bias"].data[0]), mode)
+        gate = federation.sgd_epoch(gate, [len(labels)], cfg.batch_size, loss_fn, state, cfg.gate_sgd(), [rng])
+    return models.GatingParams(Tensor(gate["weight"][0]), float(gate["bias"][0, 0]), mode)
 
 
 class TestLocalBaseline:
@@ -82,8 +82,9 @@ class TestPflFt:
         loss = graph.cross_entropy(logits, ds.labels[order])
         names = list(glob.tensors)
         grads = graph.gradient(loss, [leaves[k] for k in names])
-        want = sgd_step(glob.tensors, dict(zip(names, grads)), OptimizerState(), cfg.adapt_sgd())
-        assert all(np.array_equal(out.personalized[k].data, want[k].data) for k in names)
+        start = {k: t.data.copy() for k, t in glob.tensors.items()}
+        want = sgd_step(start, dict(zip(names, grads)), OptimizerState(), cfg.adapt_sgd())
+        assert all(np.array_equal(out.personalized[k].data, want[k]) for k in names)
 
     def test_adaptation_loss_non_increasing(self):
         glob, _ = global_model()
@@ -398,3 +399,56 @@ class TestConfigValidation:
                                                models.init_gate(SPEC, "raw"), split)
         with pytest.raises(ConfigError):
             personalization.PersonalizedClient(0, "pfl_mf", dict(split.classifier), None, split)
+
+
+class TestHeadStack:
+    """personalize_heads trains every client as one stack; each client must
+    come out exactly as it does trained alone."""
+
+    def clients(self, moe):
+        out = []
+        for cid, per_class in enumerate((9, 4, 15, 2, 6)):
+            ds = client_dataset(seed=30 + cid, per_class=per_class)
+            if moe:
+                s = data.split_per_gate(range(len(ds)), ratio=0.8, seed=cid)
+                out.append(personalization.HeadClient(10 + cid, 40 + cid, ds.subset(s.per_indices),
+                                                      ds.subset(s.gate_indices)))
+            else:
+                out.append(personalization.HeadClient(10 + cid, 40 + cid, ds))
+        return out
+
+    @staticmethod
+    def assert_same(a, b):
+        assert (a.client_id, a.algorithm) == (b.client_id, b.algorithm)
+        assert a.personalized.keys() == b.personalized.keys()
+        assert all(np.array_equal(a.personalized[k].data, b.personalized[k].data) for k in a.personalized)
+        if a.gate is not None:
+            assert np.array_equal(a.gate.weights.data, b.gate.weights.data)
+            assert (a.gate.bias, a.gate.input_mode, a.mean_g) == (b.gate.bias, b.gate.input_mode, b.mean_g)
+
+    @pytest.mark.parametrize("algorithm", ["pfl_fb", "pfl_mf", "pfl_mfe"])
+    def test_stack_equals_each_client_alone(self, algorithm):
+        glob, _ = global_model()
+        split = models.split_model(glob)
+        cfg = pcfg(algorithm, epochs=3)
+        clients = self.clients(algorithm != "pfl_fb")
+        stacked = personalization.personalize_heads(algorithm, split, clients, cfg)
+        for c, got in zip(clients, stacked):
+            if algorithm == "pfl_fb":
+                alone = personalization.pfl_fb(split, c.data, cfg, c.seed, c.client_id)
+            else:
+                run = personalization.run_pfl_mf if algorithm == "pfl_mf" else personalization.run_pfl_mfe
+                alone = run(c.client_id, c.data, c.gate_data, split, cfg, c.seed)
+            self.assert_same(got, alone)
+
+    @pytest.mark.parametrize("algorithm", ["pfl_fb", "pfl_mf", "pfl_mfe"])
+    def test_worker_count_does_not_change_any_client(self, algorithm):
+        glob, _ = global_model()
+        split = models.split_model(glob)
+        cfg = pcfg(algorithm, epochs=2)
+        clients = self.clients(algorithm != "pfl_fb")
+        one = personalization.personalize_heads(algorithm, split, clients, cfg, workers=1)
+        three = personalization.personalize_heads(algorithm, split, clients, cfg, workers=3)
+        assert [c.client_id for c in one] == [c.client_id for c in clients]
+        for a, b in zip(one, three):
+            self.assert_same(a, b)
