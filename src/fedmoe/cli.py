@@ -88,6 +88,12 @@ def load_partition(cfg: ExperimentConfig, train: data.LabeledDataset) -> data.Cl
     if not isinstance(clients, list) or len(clients) != cfg.partition.clients:
         count = len(clients) if isinstance(clients, list) else "no list of"
         raise invalid(f"holds {count} clients but [partition] clients is {cfg.partition.clients}")
+    if blob.get("concentration") != cfg.partition.concentration:
+        raise invalid(f"was drawn at concentration {blob.get('concentration')!r} but [partition] concentration "
+                      f"is {cfg.partition.concentration}")
+    if blob.get("partition_seed") != cfg.partition.seed:
+        raise invalid(f"was drawn with partition seed {blob.get('partition_seed')!r} but run seed {cfg.seed} "
+                      f"derives {cfg.partition.seed}")
     owner = [-1] * size
     for cid, indices in enumerate(clients):
         if not isinstance(indices, list):
@@ -232,12 +238,31 @@ def _head_clients(cfg: ExperimentConfig, algorithm: str, partition, train: data.
         )
 
 
+# The parts of a run's config that fedavg's checkpoint depends on.
+_FEDAVG_CONFIG = ("seed", "dataset", "model", "partition", "federation")
+
+
+def _fedavg_fields(snapshot) -> dict:
+    """The fields of a config snapshot that fedavg depends on, as dotted keys."""
+    fields = {}
+    for key in _FEDAVG_CONFIG:
+        value = snapshot.get(key) if isinstance(snapshot, dict) else None
+        if isinstance(value, dict):
+            # Paths to the IDX files may differ between machines, not their bytes.
+            fields.update({f"{key}.{k}": v for k, v in value.items() if k != "idx_paths"})
+        else:
+            fields[key] = value
+    return fields
+
+
 def _check_checkpoint(cfg: ExperimentConfig, ckpt_path: Path) -> None:
-    """The checkpoint must be the one the last ``fedavg`` run recorded."""
+    """The checkpoint must be the one the last ``fedavg`` run recorded, from
+    the configuration this run has."""
     manifest_path = cfg.out_dir / "manifest_fedavg.json"
     rerun = "re-run `fedmoe fedavg --config ...`"
     try:
-        recorded = json.loads(manifest_path.read_text())["checkpoint_sha256"]
+        manifest = json.loads(manifest_path.read_text())
+        recorded = manifest["checkpoint_sha256"]
     except FileNotFoundError:
         raise ConfigError(
             f"{manifest_path} does not exist, so checkpoint {ckpt_path} cannot be checked; {rerun}"
@@ -252,6 +277,14 @@ def _check_checkpoint(cfg: ExperimentConfig, ckpt_path: Path) -> None:
             f"checkpoint {ckpt_path} has sha256 {actual}, but {manifest_path} records {recorded}; "
             f"the checkpoint is stale or was edited; {rerun}"
         )
+    was = _fedavg_fields(manifest.get("config"))
+    now = _fedavg_fields(cfg.snapshot())
+    for key in {**now, **was}:
+        if was.get(key) != now.get(key):
+            raise ConfigError(
+                f"checkpoint {ckpt_path} was trained with {key} = {was.get(key)!r} ({manifest_path}), "
+                f"but the configuration gives {now.get(key)!r}; {rerun}"
+            )
 
 
 class _TestSetEvaluator:
@@ -328,8 +361,7 @@ def cmd_personalize(cfg: ExperimentConfig, algorithm: str) -> int:
             if not is_moe:
                 results.append(("classifier", client.personalized, artifact, None))
                 continue
-            artifact["gate.weight"] = client.gate.weights
-            artifact["gate.bias"] = Tensor(np.array([client.gate.bias]))
+            artifact.update({f"gate.{name}": t for name, t in client.gate.tensors.items()})
             results.append(("moe", client, artifact, client.mean_g))
 
     artifact_dir = cfg.out_dir / "clients" / algorithm
@@ -480,10 +512,26 @@ def cmd_selftest() -> int:
     check("per-class totals conserved", np.array_equal(totals, ds.class_counts()))
     check("all clients nonempty", min(part.sizes()) >= 1)
 
-    # Mixing boundaries.
-    glob, loc = Tensor(rng.normal(size=(10, 4))), Tensor(rng.normal(size=(10, 4)))
-    check("mix at g=1 returns the global expert", np.array_equal(models.mix_outputs(1.0, glob, loc).data, glob.data))
-    check("mix at g=0 returns the local expert", np.array_equal(models.mix_outputs(0.0, glob, loc).data, loc.data))
+    # Mixing boundaries, through the mixture-inference path, and the gate
+    # forward against numpy.
+    spec = models.ModelSpec("mlp", channels=1, side=8, classes=4, hidden_sizes=(6,))
+    split = models.split_model(models.build_model(spec, seed=4))
+    head = models.split_model(models.build_model(spec, seed=5)).classifier
+    gate = models.GatingParams({"weight": Tensor(rng.normal(size=(64, 1))), "bias": Tensor(rng.normal(size=1))}, "raw")
+    client = personalization.PersonalizedClient(0, "pfl_mf", head, gate, split)
+    raw = Tensor(rng.uniform(size=(10, 1, 8, 8)))
+    feats = models.extract_features(split, raw)
+    _, to_global = personalization.mixture(client, raw, feats, gate_override=1.0)
+    _, to_local = personalization.mixture(client, raw, feats, gate_override=0.0)
+    check("mix at g=1 returns the global expert",
+          np.array_equal(to_global.data, models.classify(split, feats).data))
+    check("mix at g=0 returns the local expert",
+          np.array_equal(to_local.data, models.classify(split, feats, classifier=head).data))
+    v = raw.data.reshape(10, -1)
+    g = models.gate_graph(models.param_consts(gate.tensors), graph.const(v)).data
+    want = 1.0 / (1.0 + np.exp(-(v @ gate.tensors["weight"].data + gate.tensors["bias"].data)))[:, 0]
+    err = float(np.abs(g - want).max())
+    check(f"gate_graph matches sigmoid(v @ w + b) (max abs err {err:.2e})", err < 1e-12)
 
     # Plain SGD equality.
     w, g = rng.normal(size=5), rng.normal(size=5)

@@ -1,5 +1,5 @@
 """Model zoo (LeNet-5 and a small MLP) as an extractor/classifier split,
-plus the per-client linear gating network and expert-output mixing."""
+plus the per-client linear gating network."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .numerics import graph, kernels
+from .numerics import graph
 from .numerics.tensor import Tensor
 
 ARCHITECTURES = ("lenet5", "mlp")
@@ -85,19 +85,20 @@ class SplitModel:
 class GatingParams:
     """Per-client linear gate emitting the global expert's mixing weight."""
 
-    weights: Tensor  # (input_dim, 1)
-    bias: float
+    tensors: dict[str, Tensor]  # {"weight": (input_dim, 1), "bias": (1,)}
     input_mode: str
 
     def __post_init__(self):
         if self.input_mode not in GATE_INPUT_MODES:
             raise ConfigError(f"input_mode: expected one of {GATE_INPUT_MODES}, got {self.input_mode!r}")
-        if self.weights.ndim != 2 or self.weights.shape[1] != 1:
-            raise DimensionError(f"gate weights must have shape (input_dim, 1), got {self.weights.shape}")
+        w, b = self.tensors["weight"], self.tensors["bias"]
+        if w.ndim != 2 or w.shape[1] != 1 or b.shape != (1,):
+            raise DimensionError(f"gate weight and bias must have shapes (input_dim, 1) and (1,), "
+                                 f"got {w.shape} and {b.shape}")
 
     @property
     def input_dim(self) -> int:
-        return self.weights.shape[0]
+        return self.tensors["weight"].shape[0]
 
 
 # Layer plans. Each entry is (kind, name, meta): conv (filters, kernel),
@@ -218,7 +219,7 @@ def param_leaves(tensors: dict[str, Tensor]) -> dict[str, graph.Value]:
     return {name: graph.leaf(t) for name, t in tensors.items()}
 
 
-def _param_consts(tensors: dict[str, Tensor]) -> dict[str, graph.Value]:
+def param_consts(tensors: dict[str, Tensor]) -> dict[str, graph.Value]:
     """Constant parameters for inference, which records no graph."""
     return {name: graph.const(t) for name, t in tensors.items()}
 
@@ -235,6 +236,15 @@ def forward_graph(spec: ModelSpec, values: dict[str, graph.Value], x: graph.Valu
     return classify_graph(spec, values, extract_graph(spec, values, x))
 
 
+def gate_graph(values: dict[str, graph.Value], v: graph.Value) -> graph.Value:
+    """Mixing weight g = sigmoid(v.w + b) of gate parameters ``{"weight",
+    "bias"}`` for gate inputs (..., input_dim); g has shape (...)."""
+    w = values["weight"]
+    if v.data.shape[-1] != w.data.shape[-2]:
+        raise DimensionError(f"gate input {v.data.shape} does not match gate dim {w.data.shape[-2]}")
+    return graph.sigmoid(graph.reshape(graph.dense(v, w, values["bias"]), v.data.shape[:-1]))
+
+
 def _check_input(spec: ModelSpec, x: Tensor) -> tuple[np.ndarray, bool]:
     single = x.ndim == 3
     data = x.data[None] if single else x.data
@@ -246,14 +256,14 @@ def _check_input(spec: ModelSpec, x: Tensor) -> tuple[np.ndarray, bool]:
 def forward(model: ModelParams, x: Tensor) -> Tensor:
     """Raw logits for a batch (B,C,S,S) or a single example (C,S,S)."""
     data, single = _check_input(model.spec, x)
-    out = forward_graph(model.spec, _param_consts(model.tensors), graph.const(data)).data
+    out = forward_graph(model.spec, param_consts(model.tensors), graph.const(data)).data
     return Tensor._wrap(out[0] if single else out)
 
 
 def extract_features(split: SplitModel, x: Tensor) -> Tensor:
     """Activations between extractor and classifier (length feature_dim)."""
     data, single = _check_input(split.spec, x)
-    out = extract_graph(split.spec, _param_consts(split.extractor), graph.const(data)).data
+    out = extract_graph(split.spec, param_consts(split.extractor), graph.const(data)).data
     return Tensor._wrap(out[0] if single else out)
 
 
@@ -264,7 +274,7 @@ def classify(split: SplitModel, a: Tensor, classifier: dict[str, Tensor] | None 
     data = a.data[None] if single else a.data
     if data.ndim != 2 or data.shape[1] != split.feature_dim:
         raise DimensionError(f"features {a.shape} do not match feature_dim {split.feature_dim}")
-    out = classify_graph(split.spec, _param_consts(head), graph.const(data)).data
+    out = classify_graph(split.spec, param_consts(head), graph.const(data)).data
     return Tensor._wrap(out[0] if single else out)
 
 
@@ -279,31 +289,4 @@ def gate_input_dim(spec: ModelSpec, input_mode: str) -> int:
 def init_gate(spec: ModelSpec, input_mode: str) -> GatingParams:
     """Zero-initialized gate, so the first mixing weight is 0.5 everywhere."""
     dim = gate_input_dim(spec, input_mode)
-    return GatingParams(Tensor._wrap(np.zeros((dim, 1))), 0.0, input_mode)
-
-
-def gate_forward(gate: GatingParams, v: Tensor):
-    """Mixing weight g = sigmoid(w.v + b); scalar for a vector input,
-    a (B,) tensor for a (B, input_dim) batch."""
-    single = v.ndim == 1
-    data = v.data[None] if single else v.data
-    if data.ndim != 2 or data.shape[1] != gate.input_dim:
-        raise DimensionError(f"gate input {v.shape} does not match gate dim {gate.input_dim}")
-    g = kernels.sigmoid(data @ gate.weights.data[:, 0] + gate.bias)
-    return float(g[0]) if single else Tensor._wrap(g)
-
-
-def mix_outputs(g, global_out: Tensor, local_out: Tensor) -> Tensor:
-    """Convex combination of expert outputs on logits: g*global + (1-g)*local."""
-    if global_out.shape != local_out.shape:
-        raise DimensionError(f"expert outputs {global_out.shape} and {local_out.shape} differ")
-    if isinstance(g, Tensor):
-        gv = g.data
-        if gv.ndim != 1 or global_out.ndim != 2 or gv.shape[0] != global_out.shape[0]:
-            raise DimensionError(f"gate weights {g.shape} do not match outputs {global_out.shape}")
-        gv = gv[:, None]
-    else:
-        gv = float(g)
-        if not 0.0 <= gv <= 1.0:
-            raise ValueError(f"mixing weight must lie in [0, 1], got {gv}")
-    return Tensor._wrap(gv * global_out.data + (1.0 - gv) * local_out.data)
+    return GatingParams({"weight": Tensor._wrap(np.zeros((dim, 1))), "bias": Tensor._wrap(np.zeros(1))}, input_mode)

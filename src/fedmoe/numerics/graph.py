@@ -1,8 +1,10 @@
-"""Reverse-mode gradient accumulation through the fixed layer set.
+"""Reverse-mode gradients through the fixed layer set.
 
 A forward pass builds :class:`Value` nodes (dense, conv, activations, loss,
-expert mixing); :func:`gradient` then walks the recorded graph backwards and
-returns analytic gradients for the requested parameter nodes.
+expert mixing). Every computation the package records is a chain: each op
+has at most one input that is itself a recorded op, and its other inputs are
+leaves or constants. :func:`gradient` walks that chain back from the loss and
+returns analytic gradients for the requested leaves.
 
 Every node knows whether a gradient can reach it: a :func:`leaf` is tracked,
 a :func:`const` is not, and an op is tracked if any parent is. An op on
@@ -120,24 +122,6 @@ def flatten(x: Value) -> Value:
     return reshape(x, (x.data.shape[0], -1))
 
 
-def add(a: Value, b: Value) -> Value:
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
-    return _record(a.data + b.data, (a, b), lambda g: (g if a.tracked else None, g if b.tracked else None))
-
-
-def mul(a: Value, b: Value) -> Value:
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
-    return _record(a.data * b.data, (a, b), lambda g: (
-        g * b.data if a.tracked else None, g * a.data if b.tracked else None
-    ))
-
-
-def sum_all(x: Value) -> Value:
-    return _record(np.asarray(x.data.sum()), (x,), lambda g: (np.broadcast_to(g, x.data.shape),))
-
-
 def mix(g: Value, global_out: Value, local_out: Value) -> Value:
     """Per-row convex mixing of two expert outputs: g*global + (1-g)*local.
 
@@ -163,56 +147,62 @@ def mix(g: Value, global_out: Value, local_out: Value) -> Value:
     return _record(out, (g, global_out, local_out), backward)
 
 
-def cross_entropy(logits: Value, labels: Sequence[int]) -> Value:
+class Loss(Value):
+    """A recorded scalar loss whose value is computed when ``data`` is first
+    read: training needs only its gradient, tests and reports its value."""
+
+    __slots__ = ("_value", "_compute")
+
+    def __init__(self, compute: Callable[[], float], logits: Value, backward: Callable):
+        self._value, self._compute, self.tracked = None, compute, logits.tracked
+        self.parents, self._backward = ((logits,), backward) if logits.tracked else ((), None)
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._value is None:
+            self._value = np.asarray(self._compute())
+        return self._value
+
+
+def cross_entropy(logits: Value, labels: Sequence[int]) -> Loss:
     y = np.asarray(labels, dtype=np.int64)
-    loss = kernels.cross_entropy(logits.data, y)
-    return _record(np.asarray(loss), (logits,), lambda g: (g * kernels.cross_entropy_grad(logits.data, y),))
 
+    def backward(g):
+        return (g * kernels.cross_entropy_grad(logits.data, y),)
 
-def _topo_order(root: Value) -> list[Value]:
-    order: list[Value] = []
-    seen: set[int] = set()
-    stack: list[tuple[Value, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node.parents:
-            if parent.tracked:
-                stack.append((parent, False))
-    return order
+    return Loss(lambda: kernels.cross_entropy(logits.data, y), logits, backward)
 
 
 def gradient(loss: Value, params: Sequence[Value]) -> list[np.ndarray]:
-    """Gradients of a recorded scalar loss with respect to each parameter node.
+    """Gradients of a recorded scalar loss with respect to each leaf in ``params``.
 
-    Only tracked nodes receive a gradient, so constant inputs and frozen
-    parameters cost no backward work.
+    The walk starts at the loss and follows each op's one tracked input that is
+    itself an op; the op's other tracked inputs are leaves, which collect their
+    gradients on the way (summed if a leaf is reached twice). An op with two
+    tracked op inputs is a branching computation and raises UsageError.
+    Constant inputs and frozen parameters cost no backward work.
     """
-    if loss.data.ndim != 0:
+    if not isinstance(loss, Loss) and loss.data.ndim != 0:
         raise UsageError(f"gradient needs a scalar loss, got shape {loss.data.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones(())}
-    for node in reversed(_topo_order(loss)):
-        g = grads.get(id(node))
-        if g is None or node._backward is None:
-            continue
+    found: dict[Value, np.ndarray] = {}
+    node, g = loss, np.ones(())
+    while node._backward is not None:
+        upstream = None
         for parent, pg in zip(node.parents, node._backward(g)):
             if pg is None:
                 continue
-            pid = id(parent)
-            if pid in grads:
-                grads[pid] = grads[pid] + pg
+            if parent._backward is None:
+                found[parent] = found[parent] + pg if parent in found else pg
+            elif upstream is None:
+                upstream = (parent, pg)
             else:
-                grads[pid] = pg
+                raise UsageError("gradient needs a chain: an op has two recorded ops among its inputs")
+        if upstream is None:
+            break
+        node, g = upstream
     out = []
     for p in params:
-        g = grads.get(id(p))
-        if g is None:
+        if p not in found:
             raise UsageError("gradient requested for a tensor that is not on the recorded path to the loss")
-        out.append(np.asarray(g, dtype=np.float64))
+        out.append(np.asarray(found[p], dtype=np.float64))
     return out

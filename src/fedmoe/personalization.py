@@ -31,9 +31,9 @@ from .models import (
     classify,
     classify_graph,
     extract_features,
-    gate_forward,
+    gate_graph,
     init_gate,
-    mix_outputs,
+    param_consts,
     split_model,
 )
 from .numerics import graph
@@ -173,8 +173,7 @@ def gate_loss(
     """Cross-entropy of the gate's mixture of two frozen experts' logits, as a
     loss of the gate parameters ``{"weight", "bias"}``."""
     def loss_fn(leaves, batch):
-        score = graph.dense(graph.const(inputs[batch]), leaves["weight"], leaves["bias"])
-        g = graph.sigmoid(graph.reshape(score, batch.shape))
+        g = gate_graph(leaves, graph.const(inputs[batch]))
         mixed = graph.mix(g, graph.const(global_logits[batch]), graph.const(local_logits[batch]))
         return graph.cross_entropy(mixed, labels[batch])
 
@@ -268,8 +267,7 @@ def _run_moe(
     """
     algorithm = "pfl_mf" if input_mode == "raw" else "pfl_mfe"
     heads = _stack(split.classifier, len(cached))
-    gates = _stack({"weight": init_gate(split.spec, input_mode).weights, "bias": Tensor._wrap(np.zeros(1))},
-                   len(cached))
+    gates = _stack(init_gate(split.spec, input_mode).tensors, len(cached))
     adapt_loss = _head_loss(split.spec, np.concatenate([c.features for c in cached]),
                             np.concatenate([c.labels for c in cached]))
     gate_inputs = np.concatenate([c.gate_inputs for c in cached])
@@ -290,9 +288,9 @@ def _run_moe(
         sgd_epoch(gates, gate_sizes, cfg.batch_size, loss_fn, gate_state, gate_sgd, rngs, algorithm, ids)
     clients = []
     for k, c in enumerate(cached):
-        gate = GatingParams(Tensor._wrap(gates["weight"][k]), float(gates["bias"][k, 0]), input_mode)
+        gate = GatingParams(_unstack(gates, k), input_mode)
         # The mean_gate_weight of the gate set, from the inputs already at hand.
-        mean_g = float(gate_forward(gate, Tensor._wrap(c.gate_inputs)).data.mean())
+        mean_g = float(gate_graph(param_consts(gate.tensors), graph.const(c.gate_inputs)).data.mean())
         clients.append(PersonalizedClient(c.client_id, algorithm, _unstack(heads, k), gate, split, mean_g))
     return clients
 
@@ -381,15 +379,16 @@ def run_pfl_mfe(
 
 def _gate_weights(
     client: PersonalizedClient, raw: Tensor, features: Tensor | None, gate_override: float | None = None
-) -> Tensor | float:
+) -> np.ndarray:
     """The gate weights g of :func:`mixture`, without the mixed logits."""
     if client.gate is None:
         raise UsageError(f"client {client.client_id} ({client.algorithm}) has no gating network")
     if gate_override is not None:
-        return gate_override
+        return np.full(len(raw), float(gate_override))
     if features is None and client.gate.input_mode == "feature":
-        return gate_forward(client.gate, extract_features(client.split, raw))
-    return gate_forward(client.gate, _gate_inputs(client.gate.input_mode, raw, features))
+        features = extract_features(client.split, raw)
+    v = _gate_inputs(client.gate.input_mode, raw, features)
+    return gate_graph(param_consts(client.gate.tensors), graph.const(v)).data
 
 
 def mixture(
@@ -397,7 +396,7 @@ def mixture(
     raw: Tensor,
     features: Tensor | None = None,
     gate_override: float | None = None,
-) -> tuple[Tensor | float, Tensor | None]:
+) -> tuple[Tensor, Tensor | None]:
     """The one mixture-inference path: per-example gate weights g and the
     mixed logits g * global + (1 - g) * personalized for an input batch.
 
@@ -405,14 +404,17 @@ def mixture(
     activations of it. Mixing needs the features, so without them the logits
     are None and only g is computed: a feature-reading gate then extracts its
     own inputs, a raw-reading gate never runs the extractor.
-    ``gate_override`` clamps g for boundary checks. Returns (g, logits).
+    ``gate_override`` in [0, 1] sets every g for boundary checks. Returns (g, logits).
     """
+    if gate_override is not None and not 0.0 <= gate_override <= 1.0:
+        raise ValueError(f"mixing weight must lie in [0, 1], got {gate_override}")
     g = _gate_weights(client, raw, features, gate_override)
     if features is None:
-        return g, None
+        return Tensor._wrap(g), None
     global_out = classify(client.split, features)
     local_out = classify(client.split, features, classifier=client.personalized)
-    return g, mix_outputs(g, global_out, local_out)
+    mixed = graph.mix(graph.const(g), graph.const(global_out), graph.const(local_out))
+    return Tensor._wrap(g), Tensor._wrap(mixed.data)
 
 
 def moe_predict(x: Tensor, client: PersonalizedClient, gate_override: float | None = None) -> Tensor:
@@ -429,4 +431,4 @@ def mean_gate_weight(
     """Average mixing weight g over a gate set; the global expert's share.
     ``features`` are the shared extractor's activations of the gate set, if
     the caller already has them."""
-    return float(_gate_weights(client, gate_data.features, features).data.mean())
+    return float(_gate_weights(client, gate_data.features, features).mean())

@@ -118,7 +118,7 @@ def test_criterion_1_gradient_suite():
 
     # Sigmoid on its own path.
     s = rng.normal(size=(3, 4))
-    fd_check(lambda lv: graph.sum_all(graph.mul(graph.sigmoid(lv[0]), graph.sigmoid(lv[0]))), [s])
+    fd_check(lambda lv: graph.cross_entropy(graph.sigmoid(lv[0]), [0, 3, 1]), [s])
 
     # Gate/mixing path: linear gate -> sigmoid -> mix of frozen experts -> loss,
     # in both raw and feature widths.
@@ -307,7 +307,7 @@ def test_criterion_6_gate_safety():
         feats = models.extract_features(split, gate_ds.features).data
         glog = models.classify(split, Tensor._wrap(feats)).data
         llog = models.classify(split, Tensor._wrap(feats), classifier=corrupted).data
-        gate = {"weight": models.init_gate(spec, "raw").weights.data[None].copy(), "bias": np.zeros((1, 1))}
+        gate = {name: t.data[None].copy() for name, t in models.init_gate(spec, "raw").tensors.items()}
         state = OptimizerState()
         gate_rng = np.random.default_rng(7)
         inputs = gate_ds.features.data.reshape(len(gate_ds), -1)
@@ -316,7 +316,7 @@ def test_criterion_6_gate_safety():
             gate = federation.sgd_epoch(
                 gate, [len(gate_ds)], 16, loss_fn, state, SgdConfig(learning_rate=0.1), [gate_rng]
             )
-        gate = models.GatingParams(Tensor(gate["weight"][0]), float(gate["bias"][0, 0]), "raw")
+        gate = models.GatingParams({name: Tensor(a[0]) for name, a in gate.items()}, "raw")
         client = personalization.PersonalizedClient(0, "pfl_mf", corrupted, gate, split)
         mean_g = personalization.mean_gate_weight(client, gate_ds)
         assert mean_g > 0.5, f"seed {seed}: mean gate weight {mean_g:.3f}"

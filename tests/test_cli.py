@@ -130,6 +130,19 @@ class TestFedavgCommand:
             assert "partition.json" in err and "fedmoe partition" in err
 
 
+@pytest.mark.parametrize("field, change", [
+    ("concentration", ("concentration = 0.5", "concentration = 5.0")),
+    ("partition seed", ("seed = 11", "seed = 12")),
+])
+def test_partition_of_another_draw_is_rejected(workspace, capsys, field, change):
+    config, out = workspace
+    run(["partition", "--config", config])
+    config.write_text(CONFIG.format(out=out).replace(*change))
+    assert cli.main(["fedavg", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "partition.json" in err and field in err and "fedmoe partition" in err
+
+
 def _edited(change):
     """A partition.json edit that changes the parsed blob and writes it back."""
     def edit(text):
@@ -201,8 +214,8 @@ class TestPersonalizeCommand:
             if algorithm == "pfl_fb":
                 logits = models.classify(split, feats, classifier=head)
             else:
-                bias = float(tensors["gate.bias"].data[0])
-                gate = models.GatingParams(tensors["gate.weight"], bias, manifest["gate_input_mode"])
+                gate = models.GatingParams({k: tensors[f"gate.{k}"] for k in ("weight", "bias")},
+                                           manifest["gate_input_mode"])
                 client = personalization.PersonalizedClient(record.client_id, algorithm, head, gate, split)
                 _, logits = personalization.mixture(client, test.features, feats)
             acc = float((logits.data.argmax(axis=1) == test.labels).mean())
@@ -251,6 +264,20 @@ class TestPersonalizeCommand:
         assert cli.main(["personalize", "--config", str(config), "--algorithm", "pfl_fb"]) == 2
         err = capsys.readouterr().err
         assert "checkpoint.ckpt" in err and "manifest_fedavg.json" in err and "re-run `fedmoe fedavg" in err
+
+    @pytest.mark.parametrize("key, change", [
+        ("seed", ("seed = 11", "seed = 12")),
+        ("federation.rounds", ("rounds = 6", "rounds = 7")),
+    ])
+    def test_checkpoint_of_another_fedavg_config_is_rejected(self, workspace, capsys, key, change):
+        config, out = workspace
+        run(["partition", "--config", config])
+        run(["fedavg", "--config", config])
+        config.write_text(CONFIG.format(out=out).replace(*change))
+        run(["partition", "--config", config])
+        assert cli.main(["personalize", "--config", str(config), "--algorithm", "pfl_fb"]) == 2
+        err = capsys.readouterr().err
+        assert f"trained with {key} = " in err and "re-run `fedmoe fedavg" in err
 
     @pytest.mark.parametrize("algorithm", ["pfl_fb", "pfl_mf", "pfl_mfe"])
     def test_client_checkpoints_do_not_depend_on_the_worker_count(self, workspace, algorithm):

@@ -28,23 +28,46 @@ def check_gradients(build_loss, arrays, tol=GRAD_TOL):
 
 
 class TestScalarRules:
-    def test_square_at_three(self):
-        w = graph.leaf(np.array([3.0]))
-        loss = graph.sum_all(graph.mul(w, w))
-        (grad,) = graph.gradient(loss, [w])
-        assert grad.tolist() == [6.0]
-
     def test_off_path_parameter_is_rejected(self):
-        w = graph.leaf(np.array([3.0]))
+        x = graph.leaf(np.ones((2, 3)))
         other = graph.leaf(np.array([1.0]))
-        loss = graph.sum_all(graph.mul(w, w))
+        loss = graph.cross_entropy(graph.sigmoid(x), [0, 2])
         with pytest.raises(UsageError):
             graph.gradient(loss, [other])
 
     def test_non_scalar_loss_is_rejected(self):
-        w = graph.leaf(np.array([3.0]))
+        w = graph.leaf(np.ones((2, 3)))
         with pytest.raises(UsageError):
-            graph.gradient(graph.mul(w, w), [w])
+            graph.gradient(graph.sigmoid(w), [w])
+
+
+class TestChainWalk:
+    def test_branching_computation_is_rejected(self):
+        rng = np.random.default_rng(24)
+        g, glob = graph.leaf(rng.normal(size=3)), graph.leaf(rng.normal(size=(3, 4)))
+        mixed = graph.mix(graph.sigmoid(g), graph.relu(glob), graph.const(rng.normal(size=(3, 4))))
+        with pytest.raises(UsageError, match="chain"):
+            graph.gradient(graph.cross_entropy(mixed, [0, 3, 2]), [g, glob])
+
+    def test_leaf_used_twice_gets_the_sum_of_its_gradients(self):
+        rng = np.random.default_rng(25)
+        x, w, b = rng.normal(size=(2, 3)), rng.normal(size=(3, 3)), rng.normal(size=3)
+
+        def build(leaves):
+            xv, wv, bv = leaves
+            return graph.cross_entropy(graph.dense(graph.relu(graph.dense(xv, wv, bv)), wv, bv), [0, 2])
+
+        check_gradients(build, [x, w, b])
+
+    def test_leaf_used_twice_in_one_op(self):
+        rng = np.random.default_rng(26)
+        g, e = rng.uniform(0.2, 0.8, size=3), rng.normal(size=(3, 4))
+        ev = graph.leaf(e)
+        loss = graph.cross_entropy(graph.mix(graph.const(g), ev, ev), [0, 3, 2])
+        (got,) = graph.gradient(loss, [ev])
+        gw = g[:, None]
+        d = kernels.cross_entropy_grad(gw * e + (1.0 - gw) * e, np.array([0, 3, 2]))
+        assert np.array_equal(got, d * gw + d * (1.0 - gw))
 
 
 class TestLayerGradients:
@@ -82,7 +105,7 @@ class TestLayerGradients:
         x = rng.normal(size=(3, 4))
 
         def build(leaves):
-            return graph.sum_all(graph.mul(graph.sigmoid(leaves[0]), graph.sigmoid(leaves[0])))
+            return graph.cross_entropy(graph.sigmoid(leaves[0]), [0, 3, 1])
 
         check_gradients(build, [x])
 
@@ -251,8 +274,24 @@ class TestConstantValues:
         assert dg.shape == (3,) and dglob is None and dloc is None
 
     def test_constant_is_off_the_gradient_path(self):
-        w, c = graph.leaf(np.array([3.0])), graph.const(np.array([2.0]))
-        loss = graph.sum_all(graph.mul(w, c))
-        assert graph.gradient(loss, [w])[0].tolist() == [2.0]
+        rng = np.random.default_rng(56)
+        x, w, b = rng.normal(size=(2, 3)), rng.normal(size=(3, 4)), rng.normal(size=4)
+        wv, bv = graph.leaf(w), graph.const(b)
+        loss = graph.cross_entropy(graph.dense(graph.const(x), wv, bv), [1, 3])
+        want = x.T @ kernels.cross_entropy_grad(x @ w + b, np.array([1, 3]))
+        assert np.array_equal(graph.gradient(loss, [wv])[0], want)
         with pytest.raises(UsageError):
-            graph.gradient(loss, [c])
+            graph.gradient(loss, [bv])
+
+    def test_loss_value_is_computed_when_read(self, monkeypatch):
+        rng = np.random.default_rng(57)
+        logits, labels = rng.normal(size=(3, 4)), np.array([0, 3, 1])
+        calls = []
+        real = kernels.cross_entropy
+        monkeypatch.setattr(kernels, "cross_entropy", lambda z, y: calls.append(1) or real(z, y))
+        leaf = graph.leaf(logits)
+        loss = graph.cross_entropy(leaf, labels)
+        graph.gradient(loss, [leaf])
+        assert calls == []
+        assert float(loss.data) == real(logits, labels) and float(loss.data) == real(logits, labels)
+        assert calls == [1]

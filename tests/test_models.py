@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import oracles
-from fedmoe import models
+from fedmoe import models, personalization
 from fedmoe.errors import ConfigError, DimensionError
 from fedmoe.numerics import Tensor, tensor, zeros
-from fedmoe.numerics import kernels
+from fedmoe.numerics import graph, kernels
 
 
 def lenet_spec(channels=1, classes=10):
@@ -113,25 +113,48 @@ class TestForwardAndSplit:
             models.forward(model, zeros((1, 3, 32, 32)))
 
 
+def gate_of(gate: models.GatingParams, v: np.ndarray) -> np.ndarray:
+    """The gate's mixing weights for inputs v, on constants."""
+    return models.gate_graph(models.param_consts(gate.tensors), graph.const(v)).data
+
+
+def tiny_client():
+    """A pfl_mf client whose personalized head differs from the global one."""
+    spec = mlp_spec(hidden=(8,), classes=4)
+    split = models.split_model(models.build_model(spec, seed=7))
+    head = models.split_model(models.build_model(spec, seed=8)).classifier
+    client = personalization.PersonalizedClient(0, "pfl_mf", head, models.init_gate(spec, "raw"), split)
+    raw = Tensor(np.random.default_rng(47).uniform(size=(3, 1, 32, 32)))
+    return client, raw, models.extract_features(split, raw)
+
+
 class TestGating:
     def test_zero_gate_gives_half(self):
         gate = models.init_gate(lenet_spec(), "raw")
-        v = zeros((1024,))
-        assert models.gate_forward(gate, v) == 0.5
+        assert gate_of(gate, np.zeros((1, 1024))).tolist() == [0.5]
 
     def test_large_bias_saturates(self):
-        gate = models.GatingParams(zeros((4, 1)), 50.0, "raw")
-        g = models.gate_forward(gate, zeros((4,)))
-        assert g >= 1.0 - 1e-12
+        gate = models.GatingParams({"weight": zeros((4, 1)), "bias": tensor([50.0])}, "raw")
+        g = gate_of(gate, np.zeros((1, 4)))
+        assert g[0] >= 1.0 - 1e-12
 
     def test_matches_dot_product_oracle(self):
         rng = np.random.default_rng(45)
         w = rng.normal(size=(6, 1))
         v = rng.normal(size=6)
         bias = 0.3
-        gate = models.GatingParams(Tensor(w), bias, "feature")
+        gate = models.GatingParams({"weight": Tensor(w), "bias": tensor([bias])}, "feature")
         want = 1.0 / (1.0 + np.exp(-(float(v @ w[:, 0]) + bias)))
-        assert models.gate_forward(gate, Tensor(v)) == pytest.approx(want, abs=1e-12)
+        assert gate_of(gate, v[None])[0] == pytest.approx(want, abs=1e-12)
+
+    def test_stacked_gates_match_dot_product_oracle(self):
+        # A (G, n, D) stack of inputs through G gates: g has shape (G, n).
+        rng = np.random.default_rng(48)
+        w, b, v = rng.normal(size=(3, 6, 1)), rng.normal(size=(3, 1)), rng.normal(size=(3, 5, 6))
+        g = models.gate_graph({"weight": graph.const(w), "bias": graph.const(b)}, graph.const(v)).data
+        want = 1.0 / (1.0 + np.exp(-(np.einsum("gnd,gd->gn", v, w[:, :, 0]) + b)))
+        assert g.shape == (3, 5)
+        assert np.allclose(g, want, rtol=0.0, atol=1e-12)
 
     def test_input_dims_per_mode(self):
         assert models.gate_input_dim(lenet_spec(channels=1), "raw") == 1024
@@ -142,35 +165,39 @@ class TestGating:
     def test_dimension_mismatch(self):
         gate = models.init_gate(lenet_spec(), "feature")
         with pytest.raises(DimensionError):
-            models.gate_forward(gate, zeros((1024,)))
+            gate_of(gate, np.zeros((1, 1024)))
 
 
 class TestMixOutputs:
     def test_boundary_one_returns_global(self):
-        glob, loc = tensor([1.0, 2.0]), tensor([5.0, 6.0])
-        assert models.mix_outputs(1.0, glob, loc).tolist() == [1.0, 2.0]
+        client, raw, feats = tiny_client()
+        _, mixed = personalization.mixture(client, raw, feats, gate_override=1.0)
+        assert np.array_equal(mixed.data, models.classify(client.split, feats).data)
 
     def test_boundary_zero_returns_local(self):
-        glob, loc = tensor([1.0, 2.0]), tensor([5.0, 6.0])
-        assert models.mix_outputs(0.0, glob, loc).tolist() == [5.0, 6.0]
+        client, raw, feats = tiny_client()
+        _, mixed = personalization.mixture(client, raw, feats, gate_override=0.0)
+        assert np.array_equal(mixed.data, models.classify(client.split, feats, classifier=client.personalized).data)
 
     def test_midpoint(self):
-        assert models.mix_outputs(0.5, tensor([2.0, 0.0]), tensor([0.0, 2.0])).tolist() == [1.0, 1.0]
+        mixed = graph.mix(graph.const([0.5]), graph.const([[2.0, 0.0]]), graph.const([[0.0, 2.0]]))
+        assert mixed.data.tolist() == [[1.0, 1.0]]
 
     def test_convex_combination_bounds(self):
         rng = np.random.default_rng(46)
-        glob = Tensor(rng.normal(size=(5, 4)))
-        loc = Tensor(rng.normal(size=(5, 4)))
-        g = Tensor(rng.uniform(size=5))
-        mixed = models.mix_outputs(g, glob, loc).data
-        lo = np.minimum(glob.data, loc.data)
-        hi = np.maximum(glob.data, loc.data)
+        glob = rng.normal(size=(5, 4))
+        loc = rng.normal(size=(5, 4))
+        g = rng.uniform(size=5)
+        mixed = graph.mix(graph.const(g), graph.const(glob), graph.const(loc)).data
+        lo = np.minimum(glob, loc)
+        hi = np.maximum(glob, loc)
         assert (mixed >= lo - 1e-12).all() and (mixed <= hi + 1e-12).all()
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            models.mix_outputs(0.5, zeros((3,)), zeros((4,)))
+            graph.mix(graph.const(np.full(3, 0.5)), graph.const(np.zeros((3, 2))), graph.const(np.zeros((4, 2))))
 
     def test_out_of_range_scalar(self):
+        client, raw, feats = tiny_client()
         with pytest.raises(ValueError):
-            models.mix_outputs(1.5, zeros((3,)), zeros((3,)))
+            personalization.mixture(client, raw, feats, gate_override=1.5)

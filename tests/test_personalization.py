@@ -38,12 +38,23 @@ def global_model(seed=11):
 def fit_gate(mode, inputs, global_logits, local_logits, labels, cfg, seed):
     """A zero-initialized gate trained on frozen expert logits with the
     production gate loss and SGD epoch."""
-    gate = {"weight": models.init_gate(SPEC, mode).weights.data[None].copy(), "bias": np.zeros((1, 1))}
+    gate = {name: t.data[None].copy() for name, t in models.init_gate(SPEC, mode).tensors.items()}
     loss_fn = personalization.gate_loss(inputs, global_logits, local_logits, labels)
     state, rng = OptimizerState(), np.random.default_rng(seed)
     for _ in range(cfg.epochs):
         gate = federation.sgd_epoch(gate, [len(labels)], cfg.batch_size, loss_fn, state, cfg.gate_sgd(), [rng])
-    return models.GatingParams(Tensor(gate["weight"][0]), float(gate["bias"][0, 0]), mode)
+    return models.GatingParams({name: Tensor(a[0]) for name, a in gate.items()}, mode)
+
+
+def sigmoid(z):
+    """The stable two-branch logistic function, in plain numpy."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def gate_weights(gate, v):
+    """g = sigmoid(v @ w + b) for a batch of gate inputs v, in plain numpy."""
+    return sigmoid(v @ gate.tensors["weight"].data + gate.tensors["bias"].data)[:, 0]
 
 
 class TestLocalBaseline:
@@ -140,18 +151,21 @@ class TestPflFb:
 
 class TestTrainGate:
     def test_zero_init_gives_half_gate(self):
-        glob, _ = global_model()
+        glob, ds = global_model()
         gate = models.init_gate(SPEC, "raw")
-        v = np.zeros(SPEC.raw_input_dim)
-        assert models.gate_forward(gate, Tensor._wrap(v[None])).data[0] == 0.5
+        v = ds.features.data.reshape(len(ds), -1)
+        assert (gate_weights(gate, v) == 0.5).all()
+        split = models.split_model(glob)
+        client = personalization.PersonalizedClient(0, "pfl_mf", split.classifier, gate, split)
+        assert (personalization.mixture(client, ds.features)[0].data == 0.5).all()
 
     def test_identical_experts_leave_gate_at_init(self):
         glob, ds = global_model()
         cfg = pcfg("pfl_mf", epochs=3)
         logits = models.forward(glob, ds.features).data
         gate = fit_gate("raw", ds.features.data.reshape(len(ds), -1), logits, logits, ds.labels, cfg, seed=10)
-        assert np.abs(gate.weights.data).max() == 0.0
-        assert gate.bias == 0.0
+        assert np.abs(gate.tensors["weight"].data).max() == 0.0
+        assert gate.tensors["bias"].data.tolist() == [0.0]
 
     def test_gate_loss_non_increasing_full_batch(self):
         glob, _ = global_model()
@@ -163,9 +177,8 @@ class TestTrainGate:
         v = ds.features.data.reshape(len(ds), -1)
 
         def mixed_loss(gate):
-            g = models.gate_forward(gate, Tensor._wrap(v))
-            mixed = models.mix_outputs(g, Tensor._wrap(glog), Tensor._wrap(llog))
-            return kernels.cross_entropy(mixed.data, ds.labels)
+            g = gate_weights(gate, v)[:, None]
+            return kernels.cross_entropy(g * glog + (1.0 - g) * llog, ds.labels)
 
         losses = []
         for epochs in (1, 2, 3, 4):
@@ -215,8 +228,8 @@ class TestMoeRuns:
         per, gate_ds = self.split_client(seed=9)
         cfg = pcfg("pfl_mf", epochs=1, adapt_lr=VANISHING_LR)
         moe = personalization.run_pfl_mf(0, per, gate_ds, split, cfg, seed=14)
-        assert np.abs(moe.gate.weights.data).max() == 0.0
-        assert moe.gate.bias == 0.0
+        assert np.abs(moe.gate.tensors["weight"].data).max() == 0.0
+        assert moe.gate.tensors["bias"].data.tolist() == [0.0]
 
     def test_mf_and_mfe_differ_only_in_gate_input_dim(self):
         glob, _ = global_model()
@@ -261,8 +274,7 @@ class TestMoeRuns:
         cfg = pcfg("pfl_mf", epochs=2)
         a = personalization.run_pfl_mf(0, per, gate_ds, split, cfg, seed=17)
         b = personalization.run_pfl_mf(0, per, gate_ds, split, cfg, seed=17)
-        assert np.array_equal(a.gate.weights.data, b.gate.weights.data)
-        assert a.gate.bias == b.gate.bias
+        assert all(np.array_equal(a.gate.tensors[k].data, b.gate.tensors[k].data) for k in a.gate.tensors)
         assert all(np.array_equal(a.personalized[k].data, b.personalized[k].data) for k in a.personalized)
 
     def test_gate_gradient_matches_finite_differences_both_modes(self):
@@ -327,13 +339,10 @@ class TestMoePredict:
         x = ds.features
         got = personalization.moe_predict(x, client)
         feats = models.extract_features(client.split, x)
-        g = models.gate_forward(client.gate, Tensor._wrap(x.data.reshape(len(ds), -1)))
-        want = models.mix_outputs(
-            g,
-            models.classify(client.split, feats),
-            models.classify(client.split, feats, classifier=client.personalized),
-        )
-        assert np.array_equal(got.data, want.data)
+        g = gate_weights(client.gate, x.data.reshape(len(ds), -1))[:, None]
+        glob = models.classify(client.split, feats).data
+        loc = models.classify(client.split, feats, classifier=client.personalized).data
+        assert np.array_equal(got.data, g * glob + (1.0 - g) * loc)
 
     def test_missing_gate_is_usage_error(self):
         glob, ds = global_model()
@@ -423,8 +432,8 @@ class TestHeadStack:
         assert a.personalized.keys() == b.personalized.keys()
         assert all(np.array_equal(a.personalized[k].data, b.personalized[k].data) for k in a.personalized)
         if a.gate is not None:
-            assert np.array_equal(a.gate.weights.data, b.gate.weights.data)
-            assert (a.gate.bias, a.gate.input_mode, a.mean_g) == (b.gate.bias, b.gate.input_mode, b.mean_g)
+            assert all(np.array_equal(a.gate.tensors[k].data, b.gate.tensors[k].data) for k in ("weight", "bias"))
+            assert (a.gate.input_mode, a.mean_g) == (b.gate.input_mode, b.mean_g)
 
     @pytest.mark.parametrize("algorithm", ["pfl_fb", "pfl_mf", "pfl_mfe"])
     def test_stack_equals_each_client_alone(self, algorithm):
