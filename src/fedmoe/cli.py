@@ -204,8 +204,8 @@ def _personalize_full(
     indices,
     train: data.LabeledDataset,
     global_params: models.ModelParams,
-) -> dict:
-    """Train one client's full model (local or pfl_ft); returns its tensors."""
+) -> personalization.PersonalizedClient:
+    """Train one client's full model (local or pfl_ft)."""
     client_ds = train.subset(list(indices))
     if algorithm == "local":
         trained = personalization.train_local_baseline(
@@ -217,10 +217,9 @@ def _personalize_full(
             batch_size=cfg.local_baseline.batch,
             client_id=client_id,
         )
-        return trained.tensors
+        return personalization.PersonalizedClient(client_id, "local", trained.tensors, None, global_params)
     seed = _client_seed(cfg, _SEED_PERSONALIZE, client_id)
-    pcfg = cfg.personalization[algorithm]
-    return personalization.pfl_ft(global_params, client_ds, pcfg, seed, client_id).personalized
+    return personalization.pfl_ft(global_params, client_ds, cfg.personalization[algorithm], seed, client_id)
 
 
 def _head_clients(cfg: ExperimentConfig, algorithm: str, partition, train: data.LabeledDataset):
@@ -291,31 +290,29 @@ class _TestSetEvaluator:
     """Shared per-algorithm evaluation state: test-set extractor features are
     computed once and reused by every client that shares the extractor."""
 
-    def __init__(self, cfg: ExperimentConfig, test: data.LabeledDataset, split: models.SplitModel):
-        self.cfg = cfg
+    def __init__(self, test: data.LabeledDataset, global_model: models.ModelParams):
         self.test = test
-        self.split = split
+        self.global_model = global_model
         self._features: Tensor | None = None
 
     @property
     def features(self) -> Tensor:
         if self._features is None:
             chunks = [
-                models.extract_features(self.split, Tensor._wrap(self.test.features.data[s : s + 512]))
+                models.extract_features(self.global_model, Tensor._wrap(self.test.features.data[s : s + 512]))
                 for s in range(0, len(self.test), 512)
             ]
             self._features = Tensor._wrap(np.concatenate([c.data for c in chunks]))
         return self._features
 
-    def per_class_accuracy(self, kind: str, payload) -> np.ndarray:
-        if kind == "full":
-            params = models.ModelParams(self.cfg.model, dict(payload))
-            predictor = lambda x: models.forward(params, x)
-            return evaluation.per_class_accuracy(predictor, self.test)
-        if kind == "classifier":
-            logits = models.classify(self.split, self.features, classifier=dict(payload))
+    def per_class_accuracy(self, client: personalization.PersonalizedClient) -> np.ndarray:
+        if client.algorithm in ("local", "pfl_ft"):
+            params = models.ModelParams(self.global_model.spec, client.personalized)
+            return evaluation.per_class_accuracy(lambda x: models.forward(params, x), self.test)
+        if client.algorithm == "pfl_fb":
+            logits = models.classify(self.global_model, self.features, classifier=client.personalized)
         else:
-            _, logits = personalization.mixture(payload, self.test.features, self.features)
+            _, logits = personalization.mixture(client, self.test.features, self.features)
         pred = np.argmax(logits.data, axis=1)
         return evaluation.per_class_accuracy_from_predictions(pred, self.test)
 
@@ -334,42 +331,32 @@ def cmd_personalize(cfg: ExperimentConfig, algorithm: str) -> int:
         raise ConfigError(
             f"checkpoint model spec {global_params.spec} does not match configured {cfg.model}"
         )
-    split = models.split_model(global_params)
-    evaluator = _TestSetEvaluator(cfg, test, split)
+    evaluator = _TestSetEvaluator(test, global_params)
     is_moe = algorithm in personalization.MOE_ALGORITHMS
 
-    # (predictor kind, predictor payload, artifact tensors, mean_g) per client.
     if algorithm in ("local", "pfl_ft"):
-        def work(cid: int):
-            tensors = _personalize_full(cfg, algorithm, cid, partition.clients[cid], train, global_params)
-            return "full", tensors, dict(tensors), None
+        def work(cid: int) -> personalization.PersonalizedClient:
+            return _personalize_full(cfg, algorithm, cid, partition.clients[cid], train, global_params)
 
         client_ids = list(range(len(partition)))
         if cfg.workers > 1:
             with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(work, client_ids))
+                clients = list(pool.map(work, client_ids))
         else:
-            results = [work(cid) for cid in client_ids]
+            clients = [work(cid) for cid in client_ids]
     else:
         clients = personalization.personalize_heads(
-            algorithm, split, _head_clients(cfg, algorithm, partition, train),
+            algorithm, global_params, _head_clients(cfg, algorithm, partition, train),
             cfg.personalization[algorithm], cfg.workers,
         )
-        results = []
-        for client in clients:
-            artifact = dict(client.personalized)
-            if not is_moe:
-                results.append(("classifier", client.personalized, artifact, None))
-                continue
-            artifact.update({f"gate.{name}": t for name, t in client.gate.tensors.items()})
-            results.append(("moe", client, artifact, client.mean_g))
 
     artifact_dir = cfg.out_dir / "clients" / algorithm
     artifact_dir.mkdir(parents=True, exist_ok=True)
     records = []
-    for cid, (kind, payload, artifact, mean_g) in enumerate(results):
+    for client in clients:
+        cid = client.client_id
         ratios = evaluation.class_ratios(train.labels[list(partition.clients[cid])], train.classes)
-        per_class = evaluator.per_class_accuracy(kind, payload)
+        per_class = evaluator.per_class_accuracy(client)
         local_acc = evaluation.local_test_from_per_class(per_class, ratios)
         counts = evaluator.test.class_counts()
         global_acc = float(np.nansum(per_class * counts) / len(evaluator.test))
@@ -381,12 +368,14 @@ def cmd_personalize(cfg: ExperimentConfig, algorithm: str) -> int:
                 local_acc=local_acc,
                 global_acc=global_acc,
                 seed=cfg.seed,
-                mean_gate=mean_g,
+                mean_gate=client.mean_g,
             )
         )
+        artifact = dict(client.personalized)
         extra = {"kind": "client", "algorithm": algorithm, "client_id": cid, "seed": cfg.seed}
         if is_moe:
-            extra["gate_input_mode"] = "raw" if algorithm == "pfl_mf" else "feature"
+            artifact.update({f"gate.{name}": t for name, t in client.gate.items()})
+            extra["gate_input_mode"] = personalization.GATE_INPUT[algorithm]
         checkpoint.save_tensors(artifact_dir / f"client_{cid}.ckpt", artifact, extra)
 
     evaluation.write_metrics_csv(records, cfg.out_dir / f"metrics_{algorithm}.csv", include_mean_gate=is_moe)
@@ -515,21 +504,21 @@ def cmd_selftest() -> int:
     # Mixing boundaries, through the mixture-inference path, and the gate
     # forward against numpy.
     spec = models.ModelSpec("mlp", channels=1, side=8, classes=4, hidden_sizes=(6,))
-    split = models.split_model(models.build_model(spec, seed=4))
-    head = models.split_model(models.build_model(spec, seed=5)).classifier
-    gate = models.GatingParams({"weight": Tensor(rng.normal(size=(64, 1))), "bias": Tensor(rng.normal(size=1))}, "raw")
-    client = personalization.PersonalizedClient(0, "pfl_mf", head, gate, split)
+    glob = models.build_model(spec, seed=4)
+    head = models.build_model(spec, seed=5).classifier
+    gate = {"weight": Tensor(rng.normal(size=(64, 1))), "bias": Tensor(rng.normal(size=1))}
+    client = personalization.PersonalizedClient(0, "pfl_mf", head, gate, glob)
     raw = Tensor(rng.uniform(size=(10, 1, 8, 8)))
-    feats = models.extract_features(split, raw)
+    feats = models.extract_features(glob, raw)
     _, to_global = personalization.mixture(client, raw, feats, gate_override=1.0)
     _, to_local = personalization.mixture(client, raw, feats, gate_override=0.0)
     check("mix at g=1 returns the global expert",
-          np.array_equal(to_global.data, models.classify(split, feats).data))
+          np.array_equal(to_global.data, models.classify(glob, feats).data))
     check("mix at g=0 returns the local expert",
-          np.array_equal(to_local.data, models.classify(split, feats, classifier=head).data))
+          np.array_equal(to_local.data, models.classify(glob, feats, classifier=head).data))
     v = raw.data.reshape(10, -1)
-    g = models.gate_graph(models.param_consts(gate.tensors), graph.const(v)).data
-    want = 1.0 / (1.0 + np.exp(-(v @ gate.tensors["weight"].data + gate.tensors["bias"].data)))[:, 0]
+    g = models.gate_graph(models.param_consts(gate), graph.const(v)).data
+    want = 1.0 / (1.0 + np.exp(-(v @ gate["weight"].data + gate["bias"].data)))[:, 0]
     err = float(np.abs(g - want).max())
     check(f"gate_graph matches sigmoid(v @ w + b) (max abs err {err:.2e})", err < 1e-12)
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -163,6 +162,13 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return buf
 
 
+def _require_positive(path, *fields: tuple[int, str, int]) -> None:
+    """Every (offset, name, value) header dimension must be positive."""
+    for offset, name, value in fields:
+        if value <= 0:
+            raise DataFormatError(f"header {name} must be positive, got {value} in {path}", offset=offset)
+
+
 def load_idx(images_path, labels_path, classes: int | None = None) -> LabeledDataset:
     """Load an IDX image/label pair (big-endian headers, one byte per pixel)."""
     with open(images_path, "rb") as f:
@@ -171,6 +177,7 @@ def load_idx(images_path, labels_path, classes: int | None = None) -> LabeledDat
             raise DataFormatError(
                 f"bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x} in {images_path}", offset=0
             )
+        _require_positive(images_path, (4, "image count", count), (8, "rows", rows), (12, "columns", cols))
         pixels = np.frombuffer(_read_exact(f, count * rows * cols, f"{count} images"), dtype=np.uint8)
         if f.read(1):
             raise DataFormatError(f"trailing bytes after {count} images in {images_path}", offset=f.tell() - 1)
@@ -180,6 +187,7 @@ def load_idx(images_path, labels_path, classes: int | None = None) -> LabeledDat
             raise DataFormatError(
                 f"bad label magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x} in {labels_path}", offset=0
             )
+        _require_positive(labels_path, (4, "label count", label_count))
         labels = np.frombuffer(_read_exact(f, label_count, f"{label_count} labels"), dtype=np.uint8)
         if f.read(1):
             raise DataFormatError(f"trailing bytes after {label_count} labels in {labels_path}", offset=f.tell() - 1)
@@ -208,10 +216,11 @@ def write_idx(ds: LabeledDataset, images_path, labels_path) -> None:
 
 def pad_to_32(ds: LabeledDataset) -> LabeledDataset:
     """Zero-pad 28x28 images to 32x32 (2 pixels on every side)."""
-    if ds.side == 32:
+    rows, cols = ds.features.shape[2:]
+    if (rows, cols) == (32, 32):
         return ds
-    if ds.side != 28:
-        raise ConfigError(f"pad_to_32 expects 28x28 or 32x32 inputs, got side {ds.side}")
+    if (rows, cols) != (28, 28):
+        raise ConfigError(f"pad_to_32 expects 28x28 or 32x32 inputs, got {rows}x{cols}")
     padded = np.pad(ds.features.data, ((0, 0), (0, 0), (2, 2), (2, 2)))
     return LabeledDataset(Tensor._wrap(padded), ds.labels, ds.classes)
 
@@ -263,19 +272,3 @@ def make_synthetic(
 def synthetic_test_set(train_seed: int, **kwargs) -> LabeledDataset:
     """Companion test set: same class patterns as ``train_seed``, fresh noise."""
     return make_synthetic(seed=train_seed + 1_000_003, pattern_seed=train_seed, **kwargs)
-
-
-def load_idx_dir(directory, prefix: str = "") -> tuple[LabeledDataset, LabeledDataset]:
-    """Load MNIST-style train/test IDX pairs from a directory, padded to 32x32."""
-    directory = Path(directory)
-
-    def find(stem: str) -> Path:
-        for name in (f"{prefix}{stem}-ubyte", f"{prefix}{stem}.idx", f"{prefix}{stem}"):
-            p = directory / name
-            if p.exists():
-                return p
-        raise ConfigError(f"missing IDX file {prefix}{stem}-ubyte in {directory}")
-
-    train = load_idx(find("train-images-idx3"), find("train-labels-idx1"))
-    test = load_idx(find("t10k-images-idx3"), find("t10k-labels-idx1"), classes=train.classes)
-    return pad_to_32(train), pad_to_32(test)

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import ConfigError, DataFormatError, EvaluationError
 from .data import LabeledDataset
 from .fileio import atomic_open
 from .numerics.tensor import Tensor
@@ -116,22 +116,44 @@ def write_metrics_csv(records: Iterable[MetricsRecord], path, include_mean_gate:
 
 
 def read_metrics_csv(path) -> list[MetricsRecord]:
-    records = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            mean_g = row.get("mean_g")
-            records.append(
-                MetricsRecord(
-                    run_id=row["run_id"],
-                    algorithm=row["algorithm"],
-                    client_id=int(row["client_id"]) if row["client_id"].isdigit() else row["client_id"],
-                    local_acc=float(row["local_acc"]),
-                    global_acc=float(row["global_acc"]),
-                    seed=int(row["seed"]),
-                    mean_gate=float(mean_g) if mean_g else None,
-                )
-            )
-    return records
+    """The records of a metrics CSV written by :func:`write_metrics_csv`."""
+    try:
+        with open(path, newline="") as f:
+            reader = csv.DictReader(f)
+            for column in METRICS_CSV_FIELDS:
+                if column not in (reader.fieldnames or ()):
+                    raise DataFormatError(f"{path} line 1: the header has no {column!r} column; "
+                                          f"expected {','.join(METRICS_CSV_FIELDS)}")
+            return [_metrics_record(path, reader.line_num, row) for row in reader]
+    except OSError as e:
+        raise ConfigError(f"cannot read metrics file {path}: {e.strerror}") from None
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise DataFormatError(f"{path} is not a readable CSV file: {e}") from None
+
+
+def _metrics_record(path, line: int, row: dict) -> MetricsRecord:
+    """One metrics CSV row, at ``line`` of ``path``."""
+    def read(column: str, convert=str):
+        value = row.get(column)
+        if value is not None:
+            try:
+                return convert(value)
+            except ValueError:
+                pass
+        raise DataFormatError(f"{path} line {line}, column {column}: cannot read {value!r}")
+
+    if None in row:  # csv.DictReader files the values beyond the header under None
+        raise DataFormatError(f"{path} line {line}: {len(row[None])} more value(s) than the header has columns")
+    client_id, mean_g = read("client_id"), row.get("mean_g")
+    return MetricsRecord(
+        run_id=read("run_id"),
+        algorithm=read("algorithm"),
+        client_id=int(client_id) if client_id.isdigit() else client_id,
+        local_acc=read("local_acc", float),
+        global_acc=read("global_acc", float),
+        seed=read("seed", int),
+        mean_gate=read("mean_g", float) if mean_g else None,
+    )
 
 
 def write_metrics_jsonl(records: Iterable[MetricsRecord], path) -> None:

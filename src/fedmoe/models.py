@@ -56,7 +56,8 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Ordered, named parameter tensors for one ModelSpec."""
+    """Ordered, named parameter tensors for one ModelSpec: the feature
+    extractor's layers first, then the classifier's."""
 
     spec: ModelSpec
     tensors: dict[str, Tensor]
@@ -64,41 +65,19 @@ class ModelParams:
     def count(self) -> int:
         return sum(t.size for t in self.tensors.values())
 
-    def names(self) -> list[str]:
-        return list(self.tensors)
-
-
-@dataclass(frozen=True)
-class SplitModel:
-    """A model divided into a shared feature extractor and a classifier head."""
-
-    spec: ModelSpec
-    extractor: dict[str, Tensor]
-    classifier: dict[str, Tensor]
+    @property
+    def extractor(self) -> dict[str, Tensor]:
+        """The feature extractor's tensors, shared with ``tensors``."""
+        return self._part(0)
 
     @property
-    def feature_dim(self) -> int:
-        return self.spec.feature_dim
+    def classifier(self) -> dict[str, Tensor]:
+        """The classifier head's tensors, shared with ``tensors``."""
+        return self._part(1)
 
-
-@dataclass(frozen=True)
-class GatingParams:
-    """Per-client linear gate emitting the global expert's mixing weight."""
-
-    tensors: dict[str, Tensor]  # {"weight": (input_dim, 1), "bias": (1,)}
-    input_mode: str
-
-    def __post_init__(self):
-        if self.input_mode not in GATE_INPUT_MODES:
-            raise ConfigError(f"input_mode: expected one of {GATE_INPUT_MODES}, got {self.input_mode!r}")
-        w, b = self.tensors["weight"], self.tensors["bias"]
-        if w.ndim != 2 or w.shape[1] != 1 or b.shape != (1,):
-            raise DimensionError(f"gate weight and bias must have shapes (input_dim, 1) and (1,), "
-                                 f"got {w.shape} and {b.shape}")
-
-    @property
-    def input_dim(self) -> int:
-        return self.tensors["weight"].shape[0]
+    def _part(self, index: int) -> dict[str, Tensor]:
+        layers = {name for _, name, _ in _layer_plan(self.spec)[index] if name}
+        return {key: t for key, t in self.tensors.items() if key.split(".", 1)[0] in layers}
 
 
 # Layer plans. Each entry is (kind, name, meta): conv (filters, kernel),
@@ -178,24 +157,10 @@ def parameter_count(spec: ModelSpec) -> int:
     return total
 
 
-def split_model(params: ModelParams) -> SplitModel:
-    """Divide a model into (extractor, classifier); the halves share tensors."""
-    ext_plan, cls_plan = _layer_plan(params.spec)
-    ext_names = {name for _, name, _ in ext_plan if name}
-    extractor: dict[str, Tensor] = {}
-    classifier: dict[str, Tensor] = {}
-    for key, t in params.tensors.items():
-        base = key.split(".", 1)[0]
-        (extractor if base in ext_names else classifier)[key] = t
-    return SplitModel(params.spec, extractor, classifier)
-
-
-def merge_model(split: SplitModel) -> ModelParams:
-    """Inverse of split_model; reproduces the original tensor order bit-exactly."""
-    tensors: dict[str, Tensor] = {}
-    tensors.update(split.extractor)
-    tensors.update(split.classifier)
-    return ModelParams(split.spec, tensors)
+def split_model(params: ModelParams) -> ModelParams:
+    """The model itself, which exposes ``extractor`` and ``classifier``; the
+    benchmark's output checks still call this name."""
+    return params
 
 
 def _run_plan(plan: list, values: dict[str, graph.Value], x: graph.Value) -> graph.Value:
@@ -260,21 +225,22 @@ def forward(model: ModelParams, x: Tensor) -> Tensor:
     return Tensor._wrap(out[0] if single else out)
 
 
-def extract_features(split: SplitModel, x: Tensor) -> Tensor:
+def extract_features(model: ModelParams, x: Tensor) -> Tensor:
     """Activations between extractor and classifier (length feature_dim)."""
-    data, single = _check_input(split.spec, x)
-    out = extract_graph(split.spec, param_consts(split.extractor), graph.const(data)).data
+    data, single = _check_input(model.spec, x)
+    out = extract_graph(model.spec, param_consts(model.extractor), graph.const(data)).data
     return Tensor._wrap(out[0] if single else out)
 
 
-def classify(split: SplitModel, a: Tensor, classifier: dict[str, Tensor] | None = None) -> Tensor:
-    """Classifier logits from features; ``classifier`` overrides the global head."""
-    head = split.classifier if classifier is None else classifier
+def classify(model: ModelParams, a: Tensor, classifier: dict[str, Tensor] | None = None) -> Tensor:
+    """Classifier logits from features; ``classifier`` overrides the model's head."""
+    head = model.classifier if classifier is None else classifier
     single = a.ndim == 1
     data = a.data[None] if single else a.data
-    if data.ndim != 2 or data.shape[1] != split.feature_dim:
-        raise DimensionError(f"features {a.shape} do not match feature_dim {split.feature_dim}")
-    out = classify_graph(split.spec, param_consts(head), graph.const(data)).data
+    dim = model.spec.feature_dim
+    if data.ndim != 2 or data.shape[1] != dim:
+        raise DimensionError(f"features {a.shape} do not match feature_dim {dim}")
+    out = classify_graph(model.spec, param_consts(head), graph.const(data)).data
     return Tensor._wrap(out[0] if single else out)
 
 
@@ -286,7 +252,8 @@ def gate_input_dim(spec: ModelSpec, input_mode: str) -> int:
     raise ConfigError(f"input_mode: expected one of {GATE_INPUT_MODES}, got {input_mode!r}")
 
 
-def init_gate(spec: ModelSpec, input_mode: str) -> GatingParams:
-    """Zero-initialized gate, so the first mixing weight is 0.5 everywhere."""
+def init_gate(spec: ModelSpec, input_mode: str) -> dict[str, Tensor]:
+    """Zero-initialized gate ``{"weight": (input_dim, 1), "bias": (1,)}``,
+    so the first mixing weight is 0.5 everywhere."""
     dim = gate_input_dim(spec, input_mode)
-    return GatingParams({"weight": Tensor._wrap(np.zeros((dim, 1))), "bias": Tensor._wrap(np.zeros(1))}, input_mode)
+    return {"weight": Tensor._wrap(np.zeros((dim, 1))), "bias": Tensor._wrap(np.zeros(1))}

@@ -23,10 +23,8 @@ from .data import LabeledDataset
 from .errors import ConfigError, UsageError
 from .federation import LossFn, sgd_epoch, sgd_epochs
 from .models import (
-    GatingParams,
     ModelParams,
     ModelSpec,
-    SplitModel,
     build_model,
     classify,
     classify_graph,
@@ -34,7 +32,6 @@ from .models import (
     gate_graph,
     init_gate,
     param_consts,
-    split_model,
 )
 from .numerics import graph
 from .numerics.optim import OptimizerState, SgdConfig
@@ -44,7 +41,10 @@ from .numerics.optim import sgd_step  # noqa: F401
 from .numerics.tensor import Tensor
 
 ALGORITHMS = ("local", "pfl_ft", "pfl_fb", "pfl_mf", "pfl_mfe")
-MOE_ALGORITHMS = ("pfl_mf", "pfl_mfe")
+# What each expert-mixing algorithm's gate reads: the flattened raw inputs
+# (PFL-MF) or the shared extractor's features (PFL-MFE).
+GATE_INPUT = {"pfl_mf": "raw", "pfl_mfe": "feature"}
+MOE_ALGORITHMS = tuple(GATE_INPUT)
 
 # Local baseline defaults: 300 epochs of SGD with momentum 0.9, lr 0.1,
 # weight decay 5e-4, batch 64, lr decayed by 0.1 every 100 epochs.
@@ -95,13 +95,13 @@ class PersonalizationConfig:
 
 @dataclass(frozen=True)
 class PersonalizedClient:
-    """One client's personalization output plus its frozen global reference."""
+    """One client's personalization output plus the frozen global model."""
 
     client_id: int
     algorithm: str
-    personalized: dict[str, Tensor]  # full model (pfl_ft) or classifier head (fb/mf/mfe)
-    gate: GatingParams | None
-    split: SplitModel
+    personalized: dict[str, Tensor]  # full model (local, pfl_ft) or classifier head (fb/mf/mfe)
+    gate: dict[str, Tensor] | None  # {"weight": (input_dim, 1), "bias": (1,)} for mf/mfe
+    global_model: ModelParams
     mean_g: float | None = None  # mean gate weight over the gate set it was trained on (mf/mfe)
 
     def __post_init__(self):
@@ -155,7 +155,7 @@ def pfl_ft(
         algorithm="pfl_ft",
         personalized=trained,
         gate=None,
-        split=split_model(global_params),
+        global_model=global_params,
     )
 
 
@@ -214,17 +214,17 @@ def _gate_inputs(mode: str, raw: Tensor, features: Tensor | None) -> Tensor:
     return features
 
 
-def _cache(split: SplitModel, client: HeadClient, input_mode: str | None) -> _Cached:
+def _cache(model: ModelParams, client: HeadClient, input_mode: str | None) -> _Cached:
     """One client's extractor passes, each a call of its own: batching
     several clients into one pass would change the GEMM shapes, and bits."""
-    features = extract_features(split, client.data.features).data
+    features = extract_features(model, client.data.features).data
     if input_mode is None:
         return _Cached(client.client_id, client.seed, features, client.data.labels)
     gate_raw = client.gate_data.features
-    gate_feats = extract_features(split, gate_raw)
+    gate_feats = extract_features(model, gate_raw)
     return _Cached(
         client.client_id, client.seed, features, client.data.labels, gate_feats,
-        _gate_inputs(input_mode, gate_raw, gate_feats).data, classify(split, gate_feats).data,
+        _gate_inputs(input_mode, gate_raw, gate_feats).data, classify(model, gate_feats).data,
         client.gate_data.labels,
     )
 
@@ -239,22 +239,22 @@ def _unstack(stack: dict[str, np.ndarray], k: int) -> dict[str, Tensor]:
     return {name: Tensor._wrap(a[k]) for name, a in stack.items()}
 
 
-def _train_fb(split: SplitModel, cached: list[_Cached], cfg: PersonalizationConfig) -> list[PersonalizedClient]:
+def _train_fb(model: ModelParams, cached: list[_Cached], cfg: PersonalizationConfig) -> list[PersonalizedClient]:
     """Freeze-base fine-tuning of a stack: every client's head, in lockstep."""
-    heads = _stack(split.classifier, len(cached))
-    loss_fn = _head_loss(split.spec, np.concatenate([c.features for c in cached]),
+    heads = _stack(model.classifier, len(cached))
+    loss_fn = _head_loss(model.spec, np.concatenate([c.features for c in cached]),
                          np.concatenate([c.labels for c in cached]))
     sizes, ids = [len(c.labels) for c in cached], [c.client_id for c in cached]
     rngs = [np.random.default_rng(c.seed) for c in cached]
     state, sgd = OptimizerState(), cfg.adapt_sgd()
     for _ in range(cfg.epochs):
         sgd_epoch(heads, sizes, cfg.batch_size, loss_fn, state, sgd, rngs, "pfl_fb", ids)
-    return [PersonalizedClient(c.client_id, "pfl_fb", _unstack(heads, k), None, split)
+    return [PersonalizedClient(c.client_id, "pfl_fb", _unstack(heads, k), None, model)
             for k, c in enumerate(cached)]
 
 
 def _run_moe(
-    split: SplitModel, cached: list[_Cached], cfg: PersonalizationConfig, input_mode: str
+    model: ModelParams, cached: list[_Cached], cfg: PersonalizationConfig, algorithm: str
 ) -> list[PersonalizedClient]:
     """Shared body of the two expert-mixing algorithms, for a stack.
 
@@ -265,10 +265,9 @@ def _run_moe(
     extractor never change; the extractor being shared lets every pass
     reuse cached activations.
     """
-    algorithm = "pfl_mf" if input_mode == "raw" else "pfl_mfe"
-    heads = _stack(split.classifier, len(cached))
-    gates = _stack(init_gate(split.spec, input_mode).tensors, len(cached))
-    adapt_loss = _head_loss(split.spec, np.concatenate([c.features for c in cached]),
+    heads = _stack(model.classifier, len(cached))
+    gates = _stack(init_gate(model.spec, GATE_INPUT[algorithm]), len(cached))
+    adapt_loss = _head_loss(model.spec, np.concatenate([c.features for c in cached]),
                             np.concatenate([c.labels for c in cached]))
     gate_inputs = np.concatenate([c.gate_inputs for c in cached])
     global_logits = np.concatenate([c.global_logits for c in cached])
@@ -281,23 +280,23 @@ def _run_moe(
     for _ in range(cfg.epochs):
         sgd_epoch(heads, sizes, cfg.batch_size, adapt_loss, adapt_state, adapt_sgd, rngs, algorithm, ids)
         local_logits = np.concatenate([
-            classify(split, c.gate_features, classifier={name: a[k] for name, a in heads.items()}).data
+            classify(model, c.gate_features, classifier={name: a[k] for name, a in heads.items()}).data
             for k, c in enumerate(cached)
         ])
         loss_fn = gate_loss(gate_inputs, global_logits, local_logits, gate_labels)
         sgd_epoch(gates, gate_sizes, cfg.batch_size, loss_fn, gate_state, gate_sgd, rngs, algorithm, ids)
     clients = []
     for k, c in enumerate(cached):
-        gate = GatingParams(_unstack(gates, k), input_mode)
+        gate = _unstack(gates, k)
         # The mean_gate_weight of the gate set, from the inputs already at hand.
-        mean_g = float(gate_graph(param_consts(gate.tensors), graph.const(c.gate_inputs)).data.mean())
-        clients.append(PersonalizedClient(c.client_id, algorithm, _unstack(heads, k), gate, split, mean_g))
+        mean_g = float(gate_graph(param_consts(gate), graph.const(c.gate_inputs)).data.mean())
+        clients.append(PersonalizedClient(c.client_id, algorithm, _unstack(heads, k), gate, model, mean_g))
     return clients
 
 
 def personalize_heads(
     algorithm: str,
-    split: SplitModel,
+    model: ModelParams,
     clients: Iterable[HeadClient],
     cfg: PersonalizationConfig,
     workers: int = 1,
@@ -312,8 +311,7 @@ def personalize_heads(
     """
     if algorithm not in ("pfl_fb", *MOE_ALGORITHMS):
         raise ConfigError(f"algorithm: personalize_heads trains pfl_fb, pfl_mf or pfl_mfe, got {algorithm!r}")
-    input_mode = {"pfl_fb": None, "pfl_mf": "raw", "pfl_mfe": "feature"}[algorithm]
-    cached = [_cache(split, c, input_mode) for c in clients]
+    cached = [_cache(model, c, GATE_INPUT.get(algorithm)) for c in clients]
 
     def size(i: int) -> tuple[int, int]:
         gate_labels = cached[i].gate_labels
@@ -324,7 +322,7 @@ def personalize_heads(
 
     def train(shard: list[int]) -> list[PersonalizedClient]:
         stack = [cached[i] for i in shard]
-        return _train_fb(split, stack, cfg) if input_mode is None else _run_moe(split, stack, cfg, input_mode)
+        return _train_fb(model, stack, cfg) if algorithm == "pfl_fb" else _run_moe(model, stack, cfg, algorithm)
 
     if len(shards) > 1:
         with ThreadPoolExecutor(max_workers=len(shards)) as pool:
@@ -339,7 +337,7 @@ def personalize_heads(
 
 
 def pfl_fb(
-    split: SplitModel,
+    global_model: ModelParams,
     client_data: LabeledDataset,
     cfg: PersonalizationConfig,
     seed: int,
@@ -350,31 +348,31 @@ def pfl_fb(
     The extractor is frozen, so its activations are computed once and the
     adaptation epochs run on the classifier head alone.
     """
-    return personalize_heads("pfl_fb", split, [HeadClient(client_id, seed, client_data)], cfg)[0]
+    return personalize_heads("pfl_fb", global_model, [HeadClient(client_id, seed, client_data)], cfg)[0]
 
 
 def run_pfl_mf(
     client_id: int,
     per_data: LabeledDataset,
     gate_data: LabeledDataset,
-    split: SplitModel,
+    global_model: ModelParams,
     cfg: PersonalizationConfig,
     seed: int,
 ) -> PersonalizedClient:
     """Expert mixing with the gate reading raw (flattened) inputs."""
-    return personalize_heads("pfl_mf", split, [HeadClient(client_id, seed, per_data, gate_data)], cfg)[0]
+    return personalize_heads("pfl_mf", global_model, [HeadClient(client_id, seed, per_data, gate_data)], cfg)[0]
 
 
 def run_pfl_mfe(
     client_id: int,
     per_data: LabeledDataset,
     gate_data: LabeledDataset,
-    split: SplitModel,
+    global_model: ModelParams,
     cfg: PersonalizationConfig,
     seed: int,
 ) -> PersonalizedClient:
     """Expert mixing with the gate reading extractor activations."""
-    return personalize_heads("pfl_mfe", split, [HeadClient(client_id, seed, per_data, gate_data)], cfg)[0]
+    return personalize_heads("pfl_mfe", global_model, [HeadClient(client_id, seed, per_data, gate_data)], cfg)[0]
 
 
 def _gate_weights(
@@ -385,10 +383,10 @@ def _gate_weights(
         raise UsageError(f"client {client.client_id} ({client.algorithm}) has no gating network")
     if gate_override is not None:
         return np.full(len(raw), float(gate_override))
-    if features is None and client.gate.input_mode == "feature":
-        features = extract_features(client.split, raw)
-    v = _gate_inputs(client.gate.input_mode, raw, features)
-    return gate_graph(param_consts(client.gate.tensors), graph.const(v)).data
+    mode = GATE_INPUT[client.algorithm]
+    if features is None and mode == "feature":
+        features = extract_features(client.global_model, raw)
+    return gate_graph(param_consts(client.gate), graph.const(_gate_inputs(mode, raw, features))).data
 
 
 def mixture(
@@ -411,8 +409,8 @@ def mixture(
     g = _gate_weights(client, raw, features, gate_override)
     if features is None:
         return Tensor._wrap(g), None
-    global_out = classify(client.split, features)
-    local_out = classify(client.split, features, classifier=client.personalized)
+    global_out = classify(client.global_model, features)
+    local_out = classify(client.global_model, features, classifier=client.personalized)
     mixed = graph.mix(graph.const(g), graph.const(global_out), graph.const(local_out))
     return Tensor._wrap(g), Tensor._wrap(mixed.data)
 
@@ -421,7 +419,7 @@ def moe_predict(x: Tensor, client: PersonalizedClient, gate_override: float | No
     """Mixture logits for a batch (B, C, S, S) or a single example (C, S, S)."""
     single = x.ndim == 3
     xb = Tensor._wrap(x.data[None]) if single else x
-    _, mixed = mixture(client, xb, extract_features(client.split, xb), gate_override)
+    _, mixed = mixture(client, xb, extract_features(client.global_model, xb), gate_override)
     return Tensor._wrap(mixed.data[0]) if single else mixed
 
 

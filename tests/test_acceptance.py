@@ -194,13 +194,12 @@ def test_criterion_3_mixing_boundary_identities():
         glob.tensors, spec, ds.features.data, ds.labels, 8, 16, SgdConfig(learning_rate=0.1), rng
     )
     glob = models.ModelParams(spec, trained)
-    split = models.split_model(glob)
     client_split = data.split_per_gate(range(len(ds)), ratio=0.8, seed=1)
     client = personalization.run_pfl_mf(
         0,
         ds.subset(client_split.per_indices),
         ds.subset(client_split.gate_indices),
-        split,
+        glob,
         personalization.PersonalizationConfig("pfl_mf", epochs=3, adapt_lr=0.02, gate_lr=0.05, batch_size=16),
         seed=4,
     )
@@ -211,8 +210,8 @@ def test_criterion_3_mixing_boundary_identities():
     violations_one = int((to_global.data.argmax(axis=1) != global_argmax).sum())
 
     to_local = personalization.moe_predict(inputs, client, gate_override=0.0)
-    feats = models.extract_features(split, inputs)
-    local_argmax = models.classify(split, feats, classifier=client.personalized).data.argmax(axis=1)
+    feats = models.extract_features(glob, inputs)
+    local_argmax = models.classify(glob, feats, classifier=client.personalized).data.argmax(axis=1)
     violations_zero = int((to_local.data.argmax(axis=1) != local_argmax).sum())
 
     assert violations_one == 0 and violations_zero == 0
@@ -299,15 +298,15 @@ def test_criterion_6_gate_safety():
             params.tensors, spec, train.features.data, train.labels, 15, 16,
             SgdConfig(learning_rate=0.1), rng,
         )
-        split = models.split_model(models.ModelParams(spec, trained))
+        glob = models.ModelParams(spec, trained)
         corrupt = np.random.default_rng(900 + seed)
-        corrupted = {k: Tensor(corrupt.normal(scale=0.5, size=t.shape)) for k, t in split.classifier.items()}
+        corrupted = {k: Tensor(corrupt.normal(scale=0.5, size=t.shape)) for k, t in glob.classifier.items()}
         gate_ds = data.synthetic_test_set(50 + seed, classes=4, per_class=10, noise=0.2)
 
-        feats = models.extract_features(split, gate_ds.features).data
-        glog = models.classify(split, Tensor._wrap(feats)).data
-        llog = models.classify(split, Tensor._wrap(feats), classifier=corrupted).data
-        gate = {name: t.data[None].copy() for name, t in models.init_gate(spec, "raw").tensors.items()}
+        feats = models.extract_features(glob, gate_ds.features).data
+        glog = models.classify(glob, Tensor._wrap(feats)).data
+        llog = models.classify(glob, Tensor._wrap(feats), classifier=corrupted).data
+        gate = {name: t.data[None].copy() for name, t in models.init_gate(spec, "raw").items()}
         state = OptimizerState()
         gate_rng = np.random.default_rng(7)
         inputs = gate_ds.features.data.reshape(len(gate_ds), -1)
@@ -316,8 +315,8 @@ def test_criterion_6_gate_safety():
             gate = federation.sgd_epoch(
                 gate, [len(gate_ds)], 16, loss_fn, state, SgdConfig(learning_rate=0.1), [gate_rng]
             )
-        gate = models.GatingParams({name: Tensor(a[0]) for name, a in gate.items()}, "raw")
-        client = personalization.PersonalizedClient(0, "pfl_mf", corrupted, gate, split)
+        gate = {name: Tensor(a[0]) for name, a in gate.items()}
+        client = personalization.PersonalizedClient(0, "pfl_mf", corrupted, gate, glob)
         mean_g = personalization.mean_gate_weight(client, gate_ds)
         assert mean_g > 0.5, f"seed {seed}: mean gate weight {mean_g:.3f}"
     elapsed = time.monotonic() - start

@@ -1,10 +1,12 @@
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
 
-from fedmoe import checkpoint, cli, evaluation
+from fedmoe import checkpoint, cli, data, evaluation
+from fedmoe.numerics import Tensor
 
 CONFIG = """
 [run]
@@ -188,7 +190,7 @@ class TestPersonalizeCommand:
         assert fb_header == "run_id,algorithm,client_id,local_acc,global_acc,seed"
         assert mf_header == "run_id,algorithm,client_id,local_acc,global_acc,seed,mean_g"
 
-    @pytest.mark.parametrize("algorithm", ["pfl_fb", "pfl_mf", "pfl_mfe"])
+    @pytest.mark.parametrize("algorithm", ["local", "pfl_ft", "pfl_fb", "pfl_mf", "pfl_mfe"])
     def test_artifacts_reload_and_reproduce_predictions(self, workspace, algorithm):
         # Every client's recorded global accuracy, recomputed from its saved
         # artifacts through the library's inference path.
@@ -210,12 +212,14 @@ class TestPersonalizeCommand:
             path = out / "clients" / algorithm / f"client_{record.client_id}.ckpt"
             tensors, manifest = checkpoint.load_tensors(path)
             assert manifest["client_id"] == record.client_id
+            assert manifest.get("gate_input_mode") == personalization.GATE_INPUT.get(algorithm)
             head = {k: tensors[k] for k in split.classifier}
-            if algorithm == "pfl_fb":
+            if algorithm in ("local", "pfl_ft"):
+                logits = models.forward(models.ModelParams(cfg.model, tensors), test.features)
+            elif algorithm == "pfl_fb":
                 logits = models.classify(split, feats, classifier=head)
             else:
-                gate = models.GatingParams({k: tensors[f"gate.{k}"] for k in ("weight", "bias")},
-                                           manifest["gate_input_mode"])
+                gate = {k: tensors[f"gate.{k}"] for k in ("weight", "bias")}
                 client = personalization.PersonalizedClient(record.client_id, algorithm, head, gate, split)
                 _, logits = personalization.mixture(client, test.features, feats)
             acc = float((logits.data.argmax(axis=1) == test.labels).mean())
@@ -351,6 +355,51 @@ class TestReportCommand:
         line = (out / "report.csv").read_text().splitlines()[1].split(",")
         assert float(line[2]) == pytest.approx(0.7, abs=1e-9)
         assert float(line[3]) == pytest.approx(0.5, abs=1e-9)
+
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read metrics file {path}: No such file or directory"),
+        ("r,pfl_fb,0,0.5,0.4,1\n", "{path} line 1: the header has no 'run_id' column"),
+        ("run_id,algorithm,client_id,local_acc,global_acc,seed\nr,local,0,0.5,0.4,1\nr,local,1,high,0.4,1\n",
+         "{path} line 3, column local_acc: cannot read 'high'"),
+        ("run_id,algorithm,client_id,local_acc,global_acc,seed\nr,local,0,0.5\n",
+         "{path} line 2, column global_acc: cannot read None"),
+        ("run_id,algorithm,client_id,local_acc,global_acc,seed\nr,local,0,0.5,0.4,1,0.9\n",
+         "{path} line 2: 1 more value(s) than the header has columns"),
+        (b"\xff\xfe\x00binary", "{path} is not a readable CSV file"),
+    ], ids=["missing file", "no header", "non-numeric local_acc", "short row", "long row", "binary file"])
+    def test_bad_metrics_file_is_an_error_line(self, tmp_path, capsys, content, message):
+        path = tmp_path / "m.csv"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        assert cli.main(["report", str(path), "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(path=path)) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cols, header, message", [
+    (28, {4: 0}, "header image count must be positive, got 0"),
+    (28, {4: -2}, "header image count must be positive, got -2"),
+    (28, {8: 0}, "header rows must be positive, got 0"),
+    (30, {}, "28x28 or 32x32 inputs, got 28x30"),
+], ids=["zero count", "negative count", "zero rows", "non-square"])
+def test_bad_idx_file_is_an_error_line(tmp_path, capsys, cols, header, message):
+    images = data.LabeledDataset(Tensor(np.zeros((8, 1, 28, cols))), np.arange(8) % 4, classes=4)
+    paths = {key: tmp_path / key for key in ("train_images", "train_labels", "test_images", "test_labels")}
+    data.write_idx(images, paths["train_images"], paths["train_labels"])
+    data.write_idx(images, paths["test_images"], paths["test_labels"])
+    raw = bytearray(paths["train_images"].read_bytes())
+    for offset, value in header.items():
+        raw[offset : offset + 4] = struct.pack(">i", value)
+    paths["train_images"].write_bytes(bytes(raw))
+    idx = "".join(f"{key} = {path}\n" for key, path in paths.items())
+    config = tmp_path / "exp.ini"
+    config.write_text(CONFIG.format(out=tmp_path / "out").replace("source = synthetic", f"source = idx\n{idx}"))
+    assert cli.main(["partition", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 class TestSelftestCommand:

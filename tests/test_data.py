@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,26 @@ class TestIdxFormat:
         with pytest.raises(DataFormatError, match="magic"):
             data.load_idx(img, lab)
 
+    @pytest.mark.parametrize("file, offset, name, value", [
+        ("img", 4, "image count", 0),
+        ("img", 4, "image count", -1),
+        ("img", 8, "rows", 0),
+        ("img", 12, "columns", -3),
+        ("lab", 4, "label count", 0),
+        ("lab", 4, "label count", -1),
+    ])
+    def test_non_positive_header_dimension(self, tmp_path, file, offset, name, value):
+        img, lab = tmp_path / "img", tmp_path / "lab"
+        ds = data.make_synthetic(classes=2, per_class=2, seed=0, side=8)
+        data.write_idx(ds, img, lab)
+        path = tmp_path / file
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + 4] = struct.pack(">i", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match=rf"header {name} must be positive, got {value} .*"
+                                                  rf"\(at byte offset {offset}\)"):
+            data.load_idx(img, lab)
+
     def test_count_mismatch(self, tmp_path):
         ds = data.make_synthetic(classes=2, per_class=3, seed=0, side=8)
         img, lab = tmp_path / "img", tmp_path / "lab"
@@ -194,6 +216,12 @@ class TestPadTo32:
     def test_unsupported_side(self):
         ds = data.make_synthetic(classes=2, per_class=2, seed=0, side=16)
         with pytest.raises(ConfigError):
+            data.pad_to_32(ds)
+
+    @pytest.mark.parametrize("rows, cols", [(28, 30), (32, 28), (28, 32)])
+    def test_non_square_input_is_rejected(self, rows, cols):
+        ds = data.LabeledDataset(Tensor(np.zeros((1, 1, rows, cols))), np.array([0]), classes=2)
+        with pytest.raises(ConfigError, match=f"28x28 or 32x32 inputs, got {rows}x{cols}"):
             data.pad_to_32(ds)
 
 

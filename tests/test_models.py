@@ -47,17 +47,16 @@ class TestForwardAndSplit:
         rng = np.random.default_rng(41)
         for spec in (lenet_spec(), mlp_spec(hidden=(32, 16))):
             model = models.build_model(spec, seed=1)
-            split = models.split_model(model)
             x = Tensor(rng.uniform(size=(3, *spec.input_shape)))
             direct = models.forward(model, x)
-            composed = models.classify(split, models.extract_features(split, x))
+            composed = models.classify(model, models.extract_features(model, x))
             assert np.array_equal(direct.data, composed.data)
 
-    def test_split_merge_round_trip(self):
+    def test_extractor_then_classifier_list_the_tensors_in_order(self):
         model = models.build_model(lenet_spec(), seed=2)
-        merged = models.merge_model(models.split_model(model))
-        assert merged.names() == model.names()
-        assert all(np.array_equal(merged.tensors[k].data, model.tensors[k].data) for k in model.tensors)
+        merged = {**model.extractor, **model.classifier}
+        assert list(merged) == list(model.tensors)
+        assert all(np.array_equal(merged[k].data, model.tensors[k].data) for k in model.tensors)
 
     def test_zero_weight_model_outputs_biases(self):
         spec = mlp_spec(hidden=(8,))
@@ -69,42 +68,41 @@ class TestForwardAndSplit:
         assert out.tolist() == [list(np.arange(1.0, 11.0))]
 
     def test_lenet_feature_dim_is_400(self):
-        split = models.split_model(models.build_model(lenet_spec(), seed=3))
+        model = models.build_model(lenet_spec(), seed=3)
         x = Tensor(np.random.default_rng(42).uniform(size=(1, 32, 32)))
-        feats = models.extract_features(split, x)
+        feats = models.extract_features(model, x)
         assert feats.shape == (400,)
 
     def test_zero_input_zero_bias_gives_zero_features(self):
         spec = lenet_spec()
         model = models.build_model(spec, seed=4)
-        split = models.split_model(model)
-        feats = models.extract_features(split, zeros((1, 1, 32, 32)))
+        feats = models.extract_features(model, zeros((1, 1, 32, 32)))
         assert np.abs(feats.data).max() == 0.0
 
     def test_extract_features_matches_loop_conv_oracle(self):
         spec = lenet_spec()
-        split = models.split_model(models.build_model(spec, seed=5))
+        model = models.build_model(spec, seed=5)
         rng = np.random.default_rng(43)
         x = rng.uniform(size=(1, 1, 32, 32))
 
-        h = oracles.conv2d_loops(x, split.extractor["conv1.weight"].data, split.extractor["conv1.bias"].data)
+        h = oracles.conv2d_loops(x, model.extractor["conv1.weight"].data, model.extractor["conv1.bias"].data)
         h = np.maximum(h, 0.0)
         h, _ = kernels.max_pool2x2(h)
-        h = oracles.conv2d_loops(h, split.extractor["conv2.weight"].data, split.extractor["conv2.bias"].data)
+        h = oracles.conv2d_loops(h, model.extractor["conv2.weight"].data, model.extractor["conv2.bias"].data)
         h = np.maximum(h, 0.0)
         h, _ = kernels.max_pool2x2(h)
         want = h.reshape(1, -1)
 
-        got = models.extract_features(split, Tensor(x)).data
+        got = models.extract_features(model, Tensor(x)).data
         assert np.allclose(got, want, atol=1e-12)
 
     def test_classify_matches_matmul_oracle(self):
         spec = mlp_spec(hidden=(12,))
-        split = models.split_model(models.build_model(spec, seed=6))
+        model = models.build_model(spec, seed=6)
         rng = np.random.default_rng(44)
         a = rng.normal(size=(2, 12))
-        want = oracles.matmul_loops(a, split.classifier["out.weight"].data, split.classifier["out.bias"].data)
-        got = models.classify(split, Tensor(a)).data
+        want = oracles.matmul_loops(a, model.classifier["out.weight"].data, model.classifier["out.bias"].data)
+        got = models.classify(model, Tensor(a)).data
         assert np.allclose(got, want, atol=1e-12)
 
     def test_input_shape_mismatch(self):
@@ -113,19 +111,19 @@ class TestForwardAndSplit:
             models.forward(model, zeros((1, 3, 32, 32)))
 
 
-def gate_of(gate: models.GatingParams, v: np.ndarray) -> np.ndarray:
+def gate_of(gate: dict, v: np.ndarray) -> np.ndarray:
     """The gate's mixing weights for inputs v, on constants."""
-    return models.gate_graph(models.param_consts(gate.tensors), graph.const(v)).data
+    return models.gate_graph(models.param_consts(gate), graph.const(v)).data
 
 
 def tiny_client():
     """A pfl_mf client whose personalized head differs from the global one."""
     spec = mlp_spec(hidden=(8,), classes=4)
-    split = models.split_model(models.build_model(spec, seed=7))
-    head = models.split_model(models.build_model(spec, seed=8)).classifier
-    client = personalization.PersonalizedClient(0, "pfl_mf", head, models.init_gate(spec, "raw"), split)
+    glob = models.build_model(spec, seed=7)
+    head = models.build_model(spec, seed=8).classifier
+    client = personalization.PersonalizedClient(0, "pfl_mf", head, models.init_gate(spec, "raw"), glob)
     raw = Tensor(np.random.default_rng(47).uniform(size=(3, 1, 32, 32)))
-    return client, raw, models.extract_features(split, raw)
+    return client, raw, models.extract_features(glob, raw)
 
 
 class TestGating:
@@ -134,7 +132,7 @@ class TestGating:
         assert gate_of(gate, np.zeros((1, 1024))).tolist() == [0.5]
 
     def test_large_bias_saturates(self):
-        gate = models.GatingParams({"weight": zeros((4, 1)), "bias": tensor([50.0])}, "raw")
+        gate = {"weight": zeros((4, 1)), "bias": tensor([50.0])}
         g = gate_of(gate, np.zeros((1, 4)))
         assert g[0] >= 1.0 - 1e-12
 
@@ -143,7 +141,7 @@ class TestGating:
         w = rng.normal(size=(6, 1))
         v = rng.normal(size=6)
         bias = 0.3
-        gate = models.GatingParams({"weight": Tensor(w), "bias": tensor([bias])}, "feature")
+        gate = {"weight": Tensor(w), "bias": tensor([bias])}
         want = 1.0 / (1.0 + np.exp(-(float(v @ w[:, 0]) + bias)))
         assert gate_of(gate, v[None])[0] == pytest.approx(want, abs=1e-12)
 
@@ -172,12 +170,12 @@ class TestMixOutputs:
     def test_boundary_one_returns_global(self):
         client, raw, feats = tiny_client()
         _, mixed = personalization.mixture(client, raw, feats, gate_override=1.0)
-        assert np.array_equal(mixed.data, models.classify(client.split, feats).data)
+        assert np.array_equal(mixed.data, models.classify(client.global_model, feats).data)
 
     def test_boundary_zero_returns_local(self):
         client, raw, feats = tiny_client()
         _, mixed = personalization.mixture(client, raw, feats, gate_override=0.0)
-        assert np.array_equal(mixed.data, models.classify(client.split, feats, classifier=client.personalized).data)
+        assert np.array_equal(mixed.data, models.classify(client.global_model, feats, classifier=client.personalized).data)
 
     def test_midpoint(self):
         mixed = graph.mix(graph.const([0.5]), graph.const([[2.0, 0.0]]), graph.const([[0.0, 2.0]]))

@@ -38,12 +38,12 @@ def global_model(seed=11):
 def fit_gate(mode, inputs, global_logits, local_logits, labels, cfg, seed):
     """A zero-initialized gate trained on frozen expert logits with the
     production gate loss and SGD epoch."""
-    gate = {name: t.data[None].copy() for name, t in models.init_gate(SPEC, mode).tensors.items()}
+    gate = {name: t.data[None].copy() for name, t in models.init_gate(SPEC, mode).items()}
     loss_fn = personalization.gate_loss(inputs, global_logits, local_logits, labels)
     state, rng = OptimizerState(), np.random.default_rng(seed)
     for _ in range(cfg.epochs):
         gate = federation.sgd_epoch(gate, [len(labels)], cfg.batch_size, loss_fn, state, cfg.gate_sgd(), [rng])
-    return models.GatingParams({name: Tensor(a[0]) for name, a in gate.items()}, mode)
+    return {name: Tensor(a[0]) for name, a in gate.items()}
 
 
 def sigmoid(z):
@@ -54,7 +54,7 @@ def sigmoid(z):
 
 def gate_weights(gate, v):
     """g = sigmoid(v @ w + b) for a batch of gate inputs v, in plain numpy."""
-    return sigmoid(v @ gate.tensors["weight"].data + gate.tensors["bias"].data)[:, 0]
+    return sigmoid(v @ gate["weight"].data + gate["bias"].data)[:, 0]
 
 
 class TestLocalBaseline:
@@ -113,36 +113,33 @@ class TestPflFt:
 class TestPflFb:
     def test_extractor_is_untouched(self):
         glob, ds = global_model()
-        split = models.split_model(glob)
-        before = {k: t.data.copy() for k, t in split.extractor.items()}
-        out = personalization.pfl_fb(split, ds, pcfg("pfl_fb"), seed=8)
-        assert all(np.array_equal(out.split.extractor[k].data, before[k]) for k in before)
-        assert set(out.personalized) == set(split.classifier)
+        before = {k: t.data.copy() for k, t in glob.extractor.items()}
+        out = personalization.pfl_fb(glob, ds, pcfg("pfl_fb"), seed=8)
+        assert all(np.array_equal(out.global_model.extractor[k].data, before[k]) for k in before)
+        assert set(out.personalized) == set(glob.classifier)
 
     def test_vanishing_lr_returns_global_classifier(self):
         glob, ds = global_model()
-        split = models.split_model(glob)
-        out = personalization.pfl_fb(split, ds, pcfg("pfl_fb", adapt_lr=VANISHING_LR), seed=9)
-        assert all(np.array_equal(out.personalized[k].data, split.classifier[k].data) for k in split.classifier)
+        out = personalization.pfl_fb(glob, ds, pcfg("pfl_fb", adapt_lr=VANISHING_LR), seed=9)
+        assert all(np.array_equal(out.personalized[k].data, glob.classifier[k].data) for k in glob.classifier)
 
     def test_update_matches_classifier_finite_differences(self):
         # One plain-SGD step on the classify path vs a finite-difference oracle.
         glob, _ = global_model()
-        split = models.split_model(glob)
         ds = client_dataset(seed=6, per_class=2)
-        feats = models.extract_features(split, ds.features).data
+        feats = models.extract_features(glob, ds.features).data
 
-        names = list(split.classifier)
-        leaves = models.param_leaves(split.classifier)
+        names = list(glob.classifier)
+        leaves = models.param_leaves(glob.classifier)
         logits = models.classify_graph(SPEC, leaves, graph.leaf(feats))
         loss = graph.cross_entropy(logits, ds.labels)
         analytic = graph.gradient(loss, [leaves[k] for k in names])
 
-        arrays = [split.classifier[k].data.copy() for k in names]
+        arrays = [glob.classifier[k].data.copy() for k in names]
 
         def f(arrs):
             params = {k: Tensor(a) for k, a in zip(names, arrs)}
-            out = models.classify(split, Tensor(feats), classifier=params)
+            out = models.classify(glob, Tensor(feats), classifier=params)
             return kernels.cross_entropy(out.data, ds.labels)
 
         numeric = oracles.finite_difference(f, arrays, step=1e-5)
@@ -155,8 +152,7 @@ class TestTrainGate:
         gate = models.init_gate(SPEC, "raw")
         v = ds.features.data.reshape(len(ds), -1)
         assert (gate_weights(gate, v) == 0.5).all()
-        split = models.split_model(glob)
-        client = personalization.PersonalizedClient(0, "pfl_mf", split.classifier, gate, split)
+        client = personalization.PersonalizedClient(0, "pfl_mf", glob.classifier, gate, glob)
         assert (personalization.mixture(client, ds.features)[0].data == 0.5).all()
 
     def test_identical_experts_leave_gate_at_init(self):
@@ -164,8 +160,8 @@ class TestTrainGate:
         cfg = pcfg("pfl_mf", epochs=3)
         logits = models.forward(glob, ds.features).data
         gate = fit_gate("raw", ds.features.data.reshape(len(ds), -1), logits, logits, ds.labels, cfg, seed=10)
-        assert np.abs(gate.tensors["weight"].data).max() == 0.0
-        assert gate.tensors["bias"].data.tolist() == [0.0]
+        assert np.abs(gate["weight"].data).max() == 0.0
+        assert gate["bias"].data.tolist() == [0.0]
 
     def test_gate_loss_non_increasing_full_batch(self):
         glob, _ = global_model()
@@ -190,15 +186,14 @@ class TestTrainGate:
         # Each gate reads its own input kind; a feature-reading gate given no
         # features extracts the same ones the caller would have passed.
         glob, ds = global_model()
-        split = models.split_model(glob)
-        feats = models.extract_features(split, ds.features)
+        feats = models.extract_features(glob, ds.features)
         s = data.split_per_gate(range(len(ds)), ratio=0.8, seed=0)
         per, gate_ds = ds.subset(s.per_indices), ds.subset(s.gate_indices)
         cfg = pcfg("pfl_mf", epochs=1)
         for run, dim in ((personalization.run_pfl_mf, SPEC.raw_input_dim),
                          (personalization.run_pfl_mfe, SPEC.feature_dim)):
-            client = run(0, per, gate_ds, split, cfg, seed=12)
-            assert client.gate.input_dim == dim
+            client = run(0, per, gate_ds, glob, cfg, seed=12)
+            assert client.gate["weight"].shape[0] == dim
             g, logits = personalization.mixture(client, ds.features)
             g_given, _ = personalization.mixture(client, ds.features, feats)
             assert logits is None and g.shape == (len(ds),)
@@ -215,42 +210,38 @@ class TestMoeRuns:
         # With E=1 the gating pass happens after the only adaptation pass, so
         # the personalized classifier must equal one freeze-base epoch bit-exactly.
         glob, _ = global_model()
-        split = models.split_model(glob)
         per, gate_ds = self.split_client()
         cfg = pcfg("pfl_mf", epochs=1)
-        moe = personalization.run_pfl_mf(0, per, gate_ds, split, cfg, seed=13)
-        fb = personalization.pfl_fb(split, per, pcfg("pfl_fb", epochs=1), seed=13)
+        moe = personalization.run_pfl_mf(0, per, gate_ds, glob, cfg, seed=13)
+        fb = personalization.pfl_fb(glob, per, pcfg("pfl_fb", epochs=1), seed=13)
         assert all(np.array_equal(moe.personalized[k].data, fb.personalized[k].data) for k in fb.personalized)
 
     def test_vanishing_adapt_lr_keeps_gate_at_init(self):
         glob, _ = global_model()
-        split = models.split_model(glob)
         per, gate_ds = self.split_client(seed=9)
         cfg = pcfg("pfl_mf", epochs=1, adapt_lr=VANISHING_LR)
-        moe = personalization.run_pfl_mf(0, per, gate_ds, split, cfg, seed=14)
-        assert np.abs(moe.gate.tensors["weight"].data).max() == 0.0
-        assert moe.gate.tensors["bias"].data.tolist() == [0.0]
+        moe = personalization.run_pfl_mf(0, per, gate_ds, glob, cfg, seed=14)
+        assert np.abs(moe.gate["weight"].data).max() == 0.0
+        assert moe.gate["bias"].data.tolist() == [0.0]
 
     def test_mf_and_mfe_differ_only_in_gate_input_dim(self):
         glob, _ = global_model()
-        split = models.split_model(glob)
         per, gate_ds = self.split_client(seed=10)
         cfg = pcfg("pfl_mf", epochs=2)
-        mf = personalization.run_pfl_mf(0, per, gate_ds, split, cfg, seed=15)
-        mfe = personalization.run_pfl_mfe(0, per, gate_ds, split, cfg, seed=15)
-        assert mf.gate.input_dim == SPEC.raw_input_dim
-        assert mfe.gate.input_dim == SPEC.feature_dim
+        mf = personalization.run_pfl_mf(0, per, gate_ds, glob, cfg, seed=15)
+        mfe = personalization.run_pfl_mfe(0, per, gate_ds, glob, cfg, seed=15)
+        assert mf.gate["weight"].shape[0] == SPEC.raw_input_dim
+        assert mfe.gate["weight"].shape[0] == SPEC.feature_dim
         # Identical adaptation stream: the personalized classifiers agree.
         assert all(np.array_equal(mf.personalized[k].data, mfe.personalized[k].data) for k in mf.personalized)
 
     def test_freeze_contracts(self):
         glob, _ = global_model()
-        split = models.split_model(glob)
-        frozen = {k: t.data.copy() for k, t in {**split.extractor, **split.classifier}.items()}
+        frozen = {k: t.data.copy() for k, t in {**glob.extractor, **glob.classifier}.items()}
         per, gate_ds = self.split_client(seed=11)
-        moe = personalization.run_pfl_mf(0, per, gate_ds, split, pcfg("pfl_mf"), seed=16)
+        moe = personalization.run_pfl_mf(0, per, gate_ds, glob, pcfg("pfl_mf"), seed=16)
         for k, arr in frozen.items():
-            merged = {**moe.split.extractor, **moe.split.classifier}
+            merged = {**moe.global_model.extractor, **moe.global_model.classifier}
             assert np.array_equal(merged[k].data, arr)
 
     # The values the CLI recorded when it ran the extractor over the gate set
@@ -261,28 +252,25 @@ class TestMoeRuns:
     ])
     def test_mean_g_comes_from_the_run_and_is_unchanged(self, run, recorded):
         glob, _ = global_model()
-        split = models.split_model(glob)
         per, gate_ds = self.split_client(seed=10)
-        client = run(0, per, gate_ds, split, pcfg("pfl_mf", epochs=2), seed=15)
+        client = run(0, per, gate_ds, glob, pcfg("pfl_mf", epochs=2), seed=15)
         assert client.mean_g == personalization.mean_gate_weight(client, gate_ds)
         assert client.mean_g == pytest.approx(recorded, rel=1e-12)
 
     def test_determinism(self):
         glob, _ = global_model()
-        split = models.split_model(glob)
         per, gate_ds = self.split_client(seed=12)
         cfg = pcfg("pfl_mf", epochs=2)
-        a = personalization.run_pfl_mf(0, per, gate_ds, split, cfg, seed=17)
-        b = personalization.run_pfl_mf(0, per, gate_ds, split, cfg, seed=17)
-        assert all(np.array_equal(a.gate.tensors[k].data, b.gate.tensors[k].data) for k in a.gate.tensors)
+        a = personalization.run_pfl_mf(0, per, gate_ds, glob, cfg, seed=17)
+        b = personalization.run_pfl_mf(0, per, gate_ds, glob, cfg, seed=17)
+        assert all(np.array_equal(a.gate[k].data, b.gate[k].data) for k in a.gate)
         assert all(np.array_equal(a.personalized[k].data, b.personalized[k].data) for k in a.personalized)
 
     def test_gate_gradient_matches_finite_differences_both_modes(self):
         glob, _ = global_model()
-        split = models.split_model(glob)
         ds = client_dataset(seed=13, per_class=2)
-        feats = models.extract_features(split, ds.features).data
-        glog = models.classify(split, Tensor(feats)).data
+        feats = models.extract_features(glob, ds.features).data
+        glog = models.classify(glob, Tensor(feats)).data
         rng = np.random.default_rng(18)
         llog = glog + rng.normal(scale=0.5, size=glog.shape)
 
@@ -310,11 +298,10 @@ class TestMoeRuns:
 class TestMoePredict:
     def trained_client(self):
         glob, _ = global_model()
-        split = models.split_model(glob)
         ds = client_dataset(seed=14, per_class=10)
         s = data.split_per_gate(range(len(ds)), ratio=0.8, seed=0)
         client = personalization.run_pfl_mf(
-            3, ds.subset(s.per_indices), ds.subset(s.gate_indices), split, pcfg("pfl_mf"), seed=19
+            3, ds.subset(s.per_indices), ds.subset(s.gate_indices), glob, pcfg("pfl_mf"), seed=19
         )
         return client, ds
 
@@ -322,7 +309,7 @@ class TestMoePredict:
         client, ds = self.trained_client()
         x = ds.features
         forced = personalization.moe_predict(x, client, gate_override=1.0)
-        glob_params = models.merge_model(client.split)
+        glob_params = client.global_model
         want = models.forward(glob_params, x)
         assert np.array_equal(forced.data.argmax(axis=1), want.data.argmax(axis=1))
 
@@ -330,24 +317,23 @@ class TestMoePredict:
         client, ds = self.trained_client()
         x = ds.features
         forced = personalization.moe_predict(x, client, gate_override=0.0)
-        feats = models.extract_features(client.split, x)
-        want = models.classify(client.split, feats, classifier=client.personalized)
+        feats = models.extract_features(client.global_model, x)
+        want = models.classify(client.global_model, feats, classifier=client.personalized)
         assert np.array_equal(forced.data.argmax(axis=1), want.data.argmax(axis=1))
 
     def test_matches_composition_of_model_ops(self):
         client, ds = self.trained_client()
         x = ds.features
         got = personalization.moe_predict(x, client)
-        feats = models.extract_features(client.split, x)
+        feats = models.extract_features(client.global_model, x)
         g = gate_weights(client.gate, x.data.reshape(len(ds), -1))[:, None]
-        glob = models.classify(client.split, feats).data
-        loc = models.classify(client.split, feats, classifier=client.personalized).data
+        glob = models.classify(client.global_model, feats).data
+        loc = models.classify(client.global_model, feats, classifier=client.personalized).data
         assert np.array_equal(got.data, g * glob + (1.0 - g) * loc)
 
     def test_missing_gate_is_usage_error(self):
         glob, ds = global_model()
-        split = models.split_model(glob)
-        fb = personalization.pfl_fb(split, ds, pcfg("pfl_fb", epochs=1), seed=20)
+        fb = personalization.pfl_fb(glob, ds, pcfg("pfl_fb", epochs=1), seed=20)
         with pytest.raises(UsageError):
             personalization.moe_predict(ds.features, fb)
 
@@ -371,22 +357,21 @@ class TestGateSafety:
             SgdConfig(learning_rate=0.1), rng,
         )
         glob = models.ModelParams(SPEC, trained)
-        split = models.split_model(glob)
 
         corrupt_rng = np.random.default_rng(1000 + seed)
         corrupted = {
-            k: Tensor(corrupt_rng.normal(scale=0.5, size=t.shape)) for k, t in split.classifier.items()
+            k: Tensor(corrupt_rng.normal(scale=0.5, size=t.shape)) for k, t in glob.classifier.items()
         }
         gate_ds = data.synthetic_test_set(40 + seed, classes=4, per_class=10, noise=0.2)
 
-        feats = models.extract_features(split, gate_ds.features).data
-        glog = models.classify(split, Tensor._wrap(feats)).data
-        llog = models.classify(split, Tensor._wrap(feats), classifier=corrupted).data
+        feats = models.extract_features(glob, gate_ds.features).data
+        glog = models.classify(glob, Tensor._wrap(feats)).data
+        llog = models.classify(glob, Tensor._wrap(feats), classifier=corrupted).data
 
         inputs = gate_ds.features.data.reshape(len(gate_ds), -1)
         cfg = pcfg("pfl_mf", epochs=30, batch_size=16, gate_lr=0.1)
         gate = fit_gate("raw", inputs, glog, llog, gate_ds.labels, cfg, seed=7)
-        client = personalization.PersonalizedClient(0, "pfl_mf", corrupted, gate, split)
+        client = personalization.PersonalizedClient(0, "pfl_mf", corrupted, gate, glob)
         assert personalization.mean_gate_weight(client, gate_ds) > 0.5
 
 
@@ -402,12 +387,11 @@ class TestConfigValidation:
 
     def test_gate_present_exactly_for_moe(self):
         glob, _ = global_model()
-        split = models.split_model(glob)
         with pytest.raises(ConfigError):
-            personalization.PersonalizedClient(0, "pfl_fb", dict(split.classifier),
-                                               models.init_gate(SPEC, "raw"), split)
+            personalization.PersonalizedClient(0, "pfl_fb", dict(glob.classifier),
+                                               models.init_gate(SPEC, "raw"), glob)
         with pytest.raises(ConfigError):
-            personalization.PersonalizedClient(0, "pfl_mf", dict(split.classifier), None, split)
+            personalization.PersonalizedClient(0, "pfl_mf", dict(glob.classifier), None, glob)
 
 
 class TestHeadStack:
@@ -432,32 +416,30 @@ class TestHeadStack:
         assert a.personalized.keys() == b.personalized.keys()
         assert all(np.array_equal(a.personalized[k].data, b.personalized[k].data) for k in a.personalized)
         if a.gate is not None:
-            assert all(np.array_equal(a.gate.tensors[k].data, b.gate.tensors[k].data) for k in ("weight", "bias"))
-            assert (a.gate.input_mode, a.mean_g) == (b.gate.input_mode, b.mean_g)
+            assert all(np.array_equal(a.gate[k].data, b.gate[k].data) for k in ("weight", "bias"))
+            assert a.mean_g == b.mean_g
 
     @pytest.mark.parametrize("algorithm", ["pfl_fb", "pfl_mf", "pfl_mfe"])
     def test_stack_equals_each_client_alone(self, algorithm):
         glob, _ = global_model()
-        split = models.split_model(glob)
         cfg = pcfg(algorithm, epochs=3)
         clients = self.clients(algorithm != "pfl_fb")
-        stacked = personalization.personalize_heads(algorithm, split, clients, cfg)
+        stacked = personalization.personalize_heads(algorithm, glob, clients, cfg)
         for c, got in zip(clients, stacked):
             if algorithm == "pfl_fb":
-                alone = personalization.pfl_fb(split, c.data, cfg, c.seed, c.client_id)
+                alone = personalization.pfl_fb(glob, c.data, cfg, c.seed, c.client_id)
             else:
                 run = personalization.run_pfl_mf if algorithm == "pfl_mf" else personalization.run_pfl_mfe
-                alone = run(c.client_id, c.data, c.gate_data, split, cfg, c.seed)
+                alone = run(c.client_id, c.data, c.gate_data, glob, cfg, c.seed)
             self.assert_same(got, alone)
 
     @pytest.mark.parametrize("algorithm", ["pfl_fb", "pfl_mf", "pfl_mfe"])
     def test_worker_count_does_not_change_any_client(self, algorithm):
         glob, _ = global_model()
-        split = models.split_model(glob)
         cfg = pcfg(algorithm, epochs=2)
         clients = self.clients(algorithm != "pfl_fb")
-        one = personalization.personalize_heads(algorithm, split, clients, cfg, workers=1)
-        three = personalization.personalize_heads(algorithm, split, clients, cfg, workers=3)
+        one = personalization.personalize_heads(algorithm, glob, clients, cfg, workers=1)
+        three = personalization.personalize_heads(algorithm, glob, clients, cfg, workers=3)
         assert [c.client_id for c in one] == [c.client_id for c in clients]
         for a, b in zip(one, three):
             self.assert_same(a, b)
