@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataFormatError
 from .fileio import atomic_open
-from .models import ModelParams, ModelSpec
+from .models import ModelParams, ModelSpec, param_shapes
 from .numerics.tensor import Tensor
 
 MAGIC = b"FMCK"
@@ -114,4 +114,13 @@ def load_model(path) -> tuple[ModelParams, dict]:
         classes=s["classes"],
         hidden_sizes=tuple(s["hidden_sizes"]),
     )
+    layout = param_shapes(spec)
+    for name in [*layout, *(name for name in tensors if name not in layout)]:
+        if name not in tensors:
+            raise DataFormatError(f"checkpoint {path} lacks tensor {name!r} of the {spec.architecture} model")
+        if name not in layout:
+            raise DataFormatError(f"checkpoint {path} has tensor {name!r}, which the {spec.architecture} model lacks")
+        if tensors[name].shape != layout[name]:
+            raise DataFormatError(f"checkpoint {path}: tensor {name!r} has shape {tensors[name].shape}, "
+                                  f"the model needs {layout[name]}")
     return ModelParams(spec, tensors), manifest

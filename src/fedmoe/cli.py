@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, checkpoint, data, evaluation, federation, models, personalization
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, FedmoeError
+from .errors import ConfigError, DegenerateClientError, FedmoeError
 from .federation import derive_seed
 from .fileio import atomic_open
 from .numerics.tensor import Tensor
@@ -229,9 +229,15 @@ def _head_clients(cfg: ExperimentConfig, algorithm: str, partition, train: data.
         if algorithm == "pfl_fb":
             yield personalization.HeadClient(cid, seed, train.subset(list(indices)))
             continue
-        client_split = data.split_per_gate(
-            indices, cfg.personalization[algorithm].split_ratio, _client_seed(cfg, _SEED_SPLIT, cid)
-        )
+        try:
+            client_split = data.split_per_gate(
+                indices, cfg.personalization[algorithm].split_ratio, _client_seed(cfg, _SEED_SPLIT, cid)
+            )
+        except DegenerateClientError as e:
+            raise DegenerateClientError(
+                f"{algorithm}: client {cid}: {e}; {algorithm} splits each client into an adaptation and a "
+                "gate set, so lower partition.clients or raise partition.concentration"
+            ) from e
         yield personalization.HeadClient(
             cid, seed, train.subset(client_split.per_indices), train.subset(client_split.gate_indices)
         )

@@ -3,6 +3,7 @@ plus the per-client linear gating network."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,17 +83,21 @@ class ModelParams:
 
 # Layer plans. Each entry is (kind, name, meta): conv (filters, kernel),
 # dense (in, out), and parameter-free relu / pool / flatten steps.
+# LeNet-5 pools before its relu. Max is monotone, so relu(pool(x)) ==
+# pool(relu(x)) bit for bit, gradients included: a window with a positive
+# maximum routes to the same first-maximum cell, and one without passes no
+# gradient either way. The relu then touches a quarter of the elements.
 
 
 def _layer_plan(spec: ModelSpec) -> tuple[list, list]:
     if spec.architecture == "lenet5":
         extractor = [
             ("conv", "conv1", (6, spec.channels, 5)),
-            ("relu", None, None),
             ("pool", None, None),
+            ("relu", None, None),
             ("conv", "conv2", (16, 6, 5)),
-            ("relu", None, None),
             ("pool", None, None),
+            ("relu", None, None),
             ("flatten", None, None),
         ]
         classifier = [
@@ -142,19 +147,24 @@ def build_model(spec: ModelSpec, seed: int) -> ModelParams:
     return ModelParams(spec, tensors)
 
 
-def parameter_count(spec: ModelSpec) -> int:
-    """Analytic parameter count for a spec."""
-    total = 0
+def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter tensor of a spec, in ``build_model``'s order."""
+    shapes = {}
     for kind, name, meta in _layer_plan(spec)[0] + _layer_plan(spec)[1]:
         if name is None:
             continue
         if kind == "conv":
             filters, in_ch, k = meta
-            total += filters * in_ch * k * k + filters
+            shapes[f"{name}.weight"], shapes[f"{name}.bias"] = (filters, in_ch, k, k), (filters,)
         else:
             fan_in, out = meta
-            total += fan_in * out + out
-    return total
+            shapes[f"{name}.weight"], shapes[f"{name}.bias"] = (fan_in, out), (out,)
+    return shapes
+
+
+def parameter_count(spec: ModelSpec) -> int:
+    """Analytic parameter count for a spec."""
+    return sum(math.prod(shape) for shape in param_shapes(spec).values())
 
 
 def split_model(params: ModelParams) -> ModelParams:
@@ -203,11 +213,15 @@ def forward_graph(spec: ModelSpec, values: dict[str, graph.Value], x: graph.Valu
 
 def gate_graph(values: dict[str, graph.Value], v: graph.Value) -> graph.Value:
     """Mixing weight g = sigmoid(v.w + b) of gate parameters ``{"weight",
-    "bias"}`` for gate inputs (..., input_dim); g has shape (...)."""
-    w = values["weight"]
-    if v.data.shape[-1] != w.data.shape[-2]:
-        raise DimensionError(f"gate input {v.data.shape} does not match gate dim {w.data.shape[-2]}")
-    return graph.sigmoid(graph.reshape(graph.dense(v, w, values["bias"]), v.data.shape[:-1]))
+    "bias"}`` for gate inputs (..., input_dim); g has shape (...). A stack of
+    G gates has weight (G, D, 1) and bias (G, 1)."""
+    w, b = values["weight"], values["bias"]
+    ws, bs = w.data.shape, b.data.shape
+    if len(ws) < 2 or ws[-1] != 1 or bs != ws[:-2] + (1,):
+        raise DimensionError(f"gate weight {ws} and bias {bs} are not (..., input_dim, 1) and (..., 1)")
+    if v.data.shape[-1] != ws[-2]:
+        raise DimensionError(f"gate input {v.data.shape} does not match gate dim {ws[-2]}")
+    return graph.sigmoid(graph.reshape(graph.dense(v, w, b), v.data.shape[:-1]))
 
 
 def _check_input(spec: ModelSpec, x: Tensor) -> tuple[np.ndarray, bool]:

@@ -52,16 +52,21 @@ def conv2d(x: np.ndarray, k: np.ndarray, b: np.ndarray, *, keep_cols: bool = Fal
 
 
 def conv2d_input_grad(dy: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Gradient of conv2d with respect to its input, as an NCHW view of a
+    channel-major (C, N, H, W) buffer."""
     # GEMM into patch space, then col2im: each kernel offset (p, q) adds its
-    # patch-space slice back onto the input positions it read.
+    # patch-space slice, already (C, N, oh, ow), back onto the input positions
+    # it read. The GEMM stays k.T @ dy: the patch-major product
+    # k.transpose(2, 3, 1, 0).reshape(-1, F) @ dy changes the last bit of
+    # some gradients at odd batch sizes.
     n, f, oh, ow = dy.shape
     c, kh, kw = k.shape[1:]
     cols = (k.reshape(f, -1).T @ dy.transpose(1, 0, 2, 3).reshape(f, -1)).reshape(c, kh, kw, n, oh, ow)
-    dx = np.zeros((n, c, oh + kh - 1, ow + kw - 1))
+    dx = np.zeros((c, n, oh + kh - 1, ow + kw - 1))
     for p in range(kh):
         for q in range(kw):
-            dx[:, :, p : p + oh, q : q + ow] += cols[:, p, q].transpose(1, 0, 2, 3)
-    return dx
+            dx[:, :, p : p + oh, q : q + ow] += cols[:, p, q]
+    return dx.transpose(1, 0, 2, 3)
 
 
 def conv2d_kernel_grad(

@@ -86,3 +86,17 @@ def test_failed_write_leaves_the_earlier_checkpoint_intact(tmp_path):
         checkpoint.save_tensors(path, {**params.tensors, "late": _UnreadablePayload()}, {"kind": "model"})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda t: t.pop("out.bias"), "lacks tensor 'out.bias'"),
+    (lambda t: t.update({"out.weight": Tensor(np.zeros((9, 4)))}), r"'out.weight' has shape \(9, 4\).*\(9, 5\)"),
+    (lambda t: t.update({"out.scale": Tensor(np.ones(5))}), "has tensor 'out.scale'"),
+], ids=["missing", "misshapen", "extra"])
+def test_model_tensors_must_match_the_spec_layout(tmp_path, change, message):
+    tensors = dict(models.build_model(SPEC, seed=5).tensors)
+    change(tensors)
+    path = tmp_path / "model.ckpt"
+    checkpoint.save_model(path, models.ModelParams(SPEC, tensors))
+    with pytest.raises(DataFormatError, match=message):
+        checkpoint.load_model(path)

@@ -269,6 +269,21 @@ class TestPersonalizeCommand:
         err = capsys.readouterr().err
         assert "checkpoint.ckpt" in err and "manifest_fedavg.json" in err and "re-run `fedmoe fedavg" in err
 
+    @pytest.mark.parametrize("algorithm", ["pfl_mf", "pfl_mfe"])
+    def test_one_example_client_is_named_in_the_split_error(self, workspace, capsys, algorithm):
+        config, out = workspace
+        run(["partition", "--config", config])
+        path = out / "partition.json"
+        blob = json.loads(path.read_text())
+        blob["clients"][3].extend(blob["clients"][2][1:])
+        del blob["clients"][2][1:]
+        path.write_text(json.dumps(blob))
+        run(["fedavg", "--config", config])
+        assert cli.main(["personalize", "--config", str(config), "--algorithm", algorithm]) == 2
+        err = capsys.readouterr().err
+        assert f"{algorithm}: client 2: cannot split a client with 1 example(s)" in err
+        assert "partition.clients" in err and "partition.concentration" in err
+
     @pytest.mark.parametrize("key, change", [
         ("seed", ("seed = 11", "seed = 12")),
         ("federation.rounds", ("rounds = 6", "rounds = 7")),

@@ -226,6 +226,50 @@ class TestGradientPruning:
         check_gradients(build, [x])
 
 
+def awkward_pool_input(shape, seed):
+    """Pool inputs with ties: small integers, exact zeros and -0.0, and some
+    windows that are all negative."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=shape).astype(np.float64)
+    x[rng.random(shape) < 0.1] = -0.0
+    x[..., :4, :6] = -rng.integers(1, 3, size=x[..., :4, :6].shape)
+    return x
+
+
+@pytest.mark.parametrize("shape", [(3, 6, 28, 28), (3, 16, 10, 10)])
+def test_relu_after_pool_equals_relu_before_pool(shape):
+    x = awkward_pool_input(shape, seed=53)
+    labels = np.random.default_rng(54).integers(0, 10, size=shape[0])
+    results = []
+    for order in ((graph.max_pool2x2, graph.relu), (graph.relu, graph.max_pool2x2)):
+        xv = graph.leaf(x)
+        h = order[1](order[0](xv))
+        (dx,) = graph.gradient(graph.cross_entropy(graph.flatten(h), labels), [xv])
+        results.append((h.data, dx))
+    (pool_first, dx_pool_first), (relu_first, dx_relu_first) = results
+    # Bit for bit, the signs of zeros included.
+    assert pool_first.tobytes() == relu_first.tobytes()
+    assert dx_pool_first.tobytes() == dx_relu_first.tobytes()
+    assert (dx_pool_first != 0).any() and np.signbit(dx_pool_first[dx_pool_first == 0]).any()
+
+
+def test_lenet5_training_batch_runs_relu_on_pooled_maps(monkeypatch):
+    spec = models.ModelSpec("lenet5", channels=1, classes=4)
+    rng = np.random.default_rng(55)
+    x, labels = rng.uniform(size=(3,) + spec.input_shape), rng.integers(0, 4, size=3)
+    relu_shapes = []
+    real = kernels.relu
+
+    def recording(a):
+        relu_shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(kernels, "relu", recording)
+    federation.sgd_epochs(models.build_model(spec, seed=5).tensors, spec, x, labels, 1, len(labels),
+                          SgdConfig(learning_rate=0.1), np.random.default_rng(0))
+    assert relu_shapes == [(3, 6, 14, 14), (3, 16, 5, 5), (3, 120), (3, 84)]
+
+
 class TestConstantValues:
     SPEC = models.ModelSpec("lenet5", channels=1, classes=4)
 

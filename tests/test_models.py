@@ -30,6 +30,11 @@ class TestBuildModel:
         model = models.build_model(mlp_spec(hidden=(64,)), seed=0)
         assert model.count() == 64 * 1024 + 64 + 10 * 64 + 10
 
+    @pytest.mark.parametrize("spec", [lenet_spec(channels=3), mlp_spec(hidden=(64, 32))], ids=["lenet5", "mlp"])
+    def test_param_shapes_are_the_built_layout_in_order(self, spec):
+        built = models.build_model(spec, seed=0).tensors
+        assert list(models.param_shapes(spec).items()) == [(name, t.shape) for name, t in built.items()]
+
     def test_unsupported_architecture(self):
         with pytest.raises(ConfigError):
             models.ModelSpec("vgg16")
@@ -164,6 +169,18 @@ class TestGating:
         gate = models.init_gate(lenet_spec(), "feature")
         with pytest.raises(DimensionError):
             gate_of(gate, np.zeros((1, 1024)))
+
+    @pytest.mark.parametrize("w_shape, b_shape", [
+        ((1024, 2), (2,)),
+        ((1024, 1), (2,)),
+        ((1024,), (1,)),
+        ((3, 1024, 1), (2, 1)),
+        ((3, 1024, 1), (1,)),
+    ], ids=["two_outputs", "wide_bias", "no_output_axis", "stack_sizes_differ", "unstacked_bias"])
+    def test_gate_shape_must_be_input_dim_by_one(self, w_shape, b_shape):
+        gate = {"weight": zeros(w_shape), "bias": zeros(b_shape)}
+        with pytest.raises(DimensionError, match="gate weight"):
+            gate_of(gate, np.zeros((3, 2, 1024)))
 
 
 class TestMixOutputs:

@@ -112,6 +112,30 @@ class TestConvGradientsAtLenetShapes:
         assert np.allclose(kernels.conv2d_kernel_grad(x, dy, k.shape[2:]), want, rtol=0, atol=1e-12)
 
 
+def nchw_col2im_input_grad(dy, k):
+    """conv2d_input_grad as it was before its col2im went channel-major: the
+    same GEMM, each offset's slab transposed to NCHW before it is added."""
+    n, f, oh, ow = dy.shape
+    c, kh, kw = k.shape[1:]
+    cols = (k.reshape(f, -1).T @ dy.transpose(1, 0, 2, 3).reshape(f, -1)).reshape(c, kh, kw, n, oh, ow)
+    dx = np.zeros((n, c, oh + kh - 1, ow + kw - 1))
+    for p in range(kh):
+        for q in range(kw):
+            dx[:, :, p : p + oh, q : q + ow] += cols[:, p, q].transpose(1, 0, 2, 3)
+    return dx
+
+
+def test_channel_major_input_grad_equals_the_nchw_col2im_at_every_batch_size():
+    # A patch-major GEMM changed the last bit at odd batch sizes; this scatter must not.
+    rng = np.random.default_rng(49)
+    k = rng.normal(size=LENET_CONVS["conv2"][1])
+    dy = rng.normal(size=(130, 16, 10, 10))
+    for n in range(1, 131):
+        got = kernels.conv2d_input_grad(dy[:n], k)
+        assert got.shape == (n, 6, 14, 14)
+        assert np.array_equal(got, nchw_col2im_input_grad(dy[:n], k)), f"batch {n}"
+
+
 class TestBlockedInference:
     """A constant-kernel conv2d runs the batch in blocks of kernels.CONV_BLOCK
     images, a remainder joining the last block; the output must not change."""
