@@ -16,7 +16,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -344,12 +343,7 @@ def cmd_personalize(cfg: ExperimentConfig, algorithm: str) -> int:
         def work(cid: int) -> personalization.PersonalizedClient:
             return _personalize_full(cfg, algorithm, cid, partition.clients[cid], train, global_params)
 
-        client_ids = list(range(len(partition)))
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                clients = list(pool.map(work, client_ids))
-        else:
-            clients = [work(cid) for cid in client_ids]
+        clients = federation.client_map(work, range(len(partition)), cfg.workers)
     else:
         clients = personalization.personalize_heads(
             algorithm, global_params, _head_clients(cfg, algorithm, partition, train),

@@ -6,12 +6,12 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from .data import ClientPartition, LabeledDataset
-from .errors import ConfigError, DimensionError, DivergenceError
+from .errors import ConfigError, DimensionError, DivergenceError, UsageError
 from .models import ModelParams, ModelSpec, build_model, forward_graph
 from .numerics import graph
 from .numerics.optim import OptimizerState, SgdConfig, sgd_step
@@ -20,6 +20,9 @@ from .numerics.tensor import Tensor
 log = logging.getLogger(__name__)
 
 WEIGHTING_MODES = ("sample", "uniform")
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,22 @@ class FederatedResult:
     best: GlobalCheckpoint
     final: ModelParams
     rounds: tuple[RoundRecord, ...]
+
+
+def client_map(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[R]:
+    """``[fn(item) for item in items]`` on up to ``workers`` threads, in input order.
+
+    One worker (or fewer than two items) runs on the calling thread, so
+    Ctrl-C stops it at once and a profiler sees one stack; otherwise a pool
+    of ``min(workers, len(items))`` threads. Every per-client loop of the
+    package fans out here.
+    """
+    if workers < 1:
+        raise UsageError(f"workers: must be positive, got {workers}")
+    if workers == 1 or len(items) < 2:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 def derive_seed(root: int, *key: int) -> int:
@@ -286,21 +305,17 @@ def train_federated(
     best = GlobalCheckpoint(0, params, eval_fn(params))
     records: list[RoundRecord] = []
 
-    def run_client(round_index: int, client_id: int, current: ModelParams) -> ClientUpdate:
-        updated, count = local_update(
-            current, client_data[client_id], cfg, derive_seed(cfg.seed, round_index, client_id),
-            f"fedavg round {round_index}", client_id,
-        )
-        return ClientUpdate(client_id, updated, count)
-
     for round_index in range(1, cfg.rounds + 1):
         chosen = sample_clients(len(partition), cfg.participation, round_index, cfg.seed)
-        if workers > 1 and len(chosen) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                updates = list(pool.map(lambda cid: run_client(round_index, cid, params), chosen))
-        else:
-            updates = [run_client(round_index, cid, params) for cid in chosen]
-        params = aggregate(updates, cfg.weighting)
+
+        def run_client(client_id: int) -> ClientUpdate:
+            updated, count = local_update(
+                params, client_data[client_id], cfg, derive_seed(cfg.seed, round_index, client_id),
+                f"fedavg round {round_index}", client_id,
+            )
+            return ClientUpdate(client_id, updated, count)
+
+        params = aggregate(client_map(run_client, chosen, workers), cfg.weighting)
 
         accuracy = None
         if round_index % cfg.eval_interval == 0 or round_index == cfg.rounds:

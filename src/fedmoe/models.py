@@ -118,35 +118,6 @@ def _layer_plan(spec: ModelSpec) -> tuple[list, list]:
     return extractor, classifier
 
 
-def _init_layer(kind: str, meta, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    if kind == "conv":
-        filters, in_ch, k = meta
-        fan_in = in_ch * k * k
-        bound = 1.0 / np.sqrt(fan_in)
-        return {
-            "weight": rng.uniform(-bound, bound, size=(filters, in_ch, k, k)),
-            "bias": np.zeros(filters),
-        }
-    fan_in, out = meta
-    bound = 1.0 / np.sqrt(fan_in)
-    return {
-        "weight": rng.uniform(-bound, bound, size=(fan_in, out)),
-        "bias": np.zeros(out),
-    }
-
-
-def build_model(spec: ModelSpec, seed: int) -> ModelParams:
-    """Initialize parameters: weights uniform in +-1/sqrt(fan_in), biases zero."""
-    rng = np.random.default_rng(seed)
-    tensors: dict[str, Tensor] = {}
-    for kind, name, meta in _layer_plan(spec)[0] + _layer_plan(spec)[1]:
-        if name is None:
-            continue
-        for pname, arr in _init_layer(kind, meta, rng).items():
-            tensors[f"{name}.{pname}"] = Tensor._wrap(arr)
-    return ModelParams(spec, tensors)
-
-
 def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     """The shape of every parameter tensor of a spec, in ``build_model``'s order."""
     shapes = {}
@@ -162,9 +133,18 @@ def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def parameter_count(spec: ModelSpec) -> int:
-    """Analytic parameter count for a spec."""
-    return sum(math.prod(shape) for shape in param_shapes(spec).values())
+def build_model(spec: ModelSpec, seed: int) -> ModelParams:
+    """Initialize parameters: weights uniform in +-1/sqrt(fan_in), biases zero.
+    A conv weight (F, C, k, k) reads C*k*k inputs, a dense weight (in, out) reads in."""
+    rng = np.random.default_rng(seed)
+    tensors: dict[str, Tensor] = {}
+    for name, shape in param_shapes(spec).items():
+        if name.endswith(".bias"):
+            tensors[name] = Tensor._wrap(np.zeros(shape))
+            continue
+        bound = 1.0 / np.sqrt(math.prod(shape[1:]) if len(shape) == 4 else shape[0])
+        tensors[name] = Tensor._wrap(rng.uniform(-bound, bound, size=shape))
+    return ModelParams(spec, tensors)
 
 
 def split_model(params: ModelParams) -> ModelParams:
@@ -187,11 +167,6 @@ def _run_plan(plan: list, values: dict[str, graph.Value], x: graph.Value) -> gra
         else:
             out = graph.flatten(out)
     return out
-
-
-def param_leaves(tensors: dict[str, Tensor]) -> dict[str, graph.Value]:
-    """Fresh graph leaves for a parameter dict (one training batch's worth)."""
-    return {name: graph.leaf(t) for name, t in tensors.items()}
 
 
 def param_consts(tensors: dict[str, Tensor]) -> dict[str, graph.Value]:

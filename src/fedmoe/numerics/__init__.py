@@ -1,6 +1,6 @@
 """Tensor values, raw kernels, the recorded graph with analytic gradients, and SGD."""
 
-from .tensor import Tensor, tensor, zeros, allclose
+from .tensor import Tensor
 from .graph import Value, leaf, gradient
 from .optim import OptimizerState, SgdConfig, sgd_step
 
@@ -9,10 +9,7 @@ __all__ = [
     "SgdConfig",
     "Tensor",
     "Value",
-    "allclose",
     "gradient",
     "leaf",
     "sgd_step",
-    "tensor",
-    "zeros",
 ]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from ..errors import DimensionError
@@ -68,16 +66,3 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
-
-
-def tensor(data) -> Tensor:
-    """Build a tensor from nested lists or an array."""
-    return Tensor(data)
-
-
-def zeros(shape: Iterable[int]) -> Tensor:
-    return Tensor._wrap(np.zeros(tuple(shape), dtype=np.float64))
-
-
-def allclose(a: Tensor, b: Tensor, atol: float = 0.0, rtol: float = 0.0) -> bool:
-    return a.shape == b.shape and np.allclose(a.data, b.data, atol=atol, rtol=rtol)

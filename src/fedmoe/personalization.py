@@ -13,7 +13,6 @@ client's head (and gate) trains on cached features, and
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ConfigError, UsageError
-from .federation import LossFn, sgd_epoch, sgd_epochs
+from .federation import LossFn, client_map, sgd_epoch, sgd_epochs
 from .models import (
     ModelParams,
     ModelSpec,
@@ -207,16 +206,19 @@ class _Cached:
     gate_labels: np.ndarray | None = None
 
 
-def _gate_inputs(mode: str, raw: Tensor, features: Tensor | None) -> Tensor:
+def _gate_inputs(mode: str, raw: Tensor, features: Tensor) -> Tensor:
     """What a gate reads: the flattened raw inputs or the shared features."""
     if mode == "raw":
         return Tensor._wrap(raw.data.reshape(len(raw), -1))
     return features
 
 
-def _cache(model: ModelParams, client: HeadClient, input_mode: str | None) -> _Cached:
+def _cache(model: ModelParams, client: HeadClient, algorithm: str) -> _Cached:
     """One client's extractor passes, each a call of its own: batching
     several clients into one pass would change the GEMM shapes, and bits."""
+    input_mode = GATE_INPUT.get(algorithm)
+    if input_mode is not None and client.gate_data is None:
+        raise UsageError(f"{algorithm}: client {client.client_id} has no gate set (HeadClient.gate_data)")
     features = extract_features(model, client.data.features).data
     if input_mode is None:
         return _Cached(client.client_id, client.seed, features, client.data.labels)
@@ -288,7 +290,7 @@ def _run_moe(
     clients = []
     for k, c in enumerate(cached):
         gate = _unstack(gates, k)
-        # The mean_gate_weight of the gate set, from the inputs already at hand.
+        # The mean mixing weight g over the gate set, from the inputs already at hand.
         mean_g = float(gate_graph(param_consts(gate), graph.const(c.gate_inputs)).data.mean())
         clients.append(PersonalizedClient(c.client_id, algorithm, _unstack(heads, k), gate, model, mean_g))
     return clients
@@ -311,122 +313,50 @@ def personalize_heads(
     """
     if algorithm not in ("pfl_fb", *MOE_ALGORITHMS):
         raise ConfigError(f"algorithm: personalize_heads trains pfl_fb, pfl_mf or pfl_mfe, got {algorithm!r}")
-    cached = [_cache(model, c, GATE_INPUT.get(algorithm)) for c in clients]
+    cached = [_cache(model, c, algorithm) for c in clients]
 
     def size(i: int) -> tuple[int, int]:
         gate_labels = cached[i].gate_labels
         return len(cached[i].labels), 0 if gate_labels is None else len(gate_labels)
 
     order = sorted(range(len(cached)), key=size, reverse=True)
-    shards = [order[j::workers] for j in range(min(max(workers, 1), len(order)))]
+    n_shards = min(workers, len(order))
+    shards = [order[j::n_shards] for j in range(n_shards)]
 
     def train(shard: list[int]) -> list[PersonalizedClient]:
         stack = [cached[i] for i in shard]
         return _train_fb(model, stack, cfg) if algorithm == "pfl_fb" else _run_moe(model, stack, cfg, algorithm)
 
-    if len(shards) > 1:
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            trained = list(pool.map(train, shards))
-    else:
-        trained = [train(shard) for shard in shards]
     out: list[PersonalizedClient | None] = [None] * len(cached)
-    for shard, results in zip(shards, trained):
+    for shard, results in zip(shards, client_map(train, shards, workers)):
         for i, client in zip(shard, results):
             out[i] = client
     return out
 
 
-def pfl_fb(
-    global_model: ModelParams,
-    client_data: LabeledDataset,
-    cfg: PersonalizationConfig,
-    seed: int,
-    client_id: int = 0,
-) -> PersonalizedClient:
-    """Freeze-base fine-tuning: extractor untouched, classifier adapted.
-
-    The extractor is frozen, so its activations are computed once and the
-    adaptation epochs run on the classifier head alone.
-    """
-    return personalize_heads("pfl_fb", global_model, [HeadClient(client_id, seed, client_data)], cfg)[0]
-
-
-def run_pfl_mf(
-    client_id: int,
-    per_data: LabeledDataset,
-    gate_data: LabeledDataset,
-    global_model: ModelParams,
-    cfg: PersonalizationConfig,
-    seed: int,
-) -> PersonalizedClient:
-    """Expert mixing with the gate reading raw (flattened) inputs."""
-    return personalize_heads("pfl_mf", global_model, [HeadClient(client_id, seed, per_data, gate_data)], cfg)[0]
-
-
-def run_pfl_mfe(
-    client_id: int,
-    per_data: LabeledDataset,
-    gate_data: LabeledDataset,
-    global_model: ModelParams,
-    cfg: PersonalizationConfig,
-    seed: int,
-) -> PersonalizedClient:
-    """Expert mixing with the gate reading extractor activations."""
-    return personalize_heads("pfl_mfe", global_model, [HeadClient(client_id, seed, per_data, gate_data)], cfg)[0]
-
-
-def _gate_weights(
-    client: PersonalizedClient, raw: Tensor, features: Tensor | None, gate_override: float | None = None
-) -> np.ndarray:
-    """The gate weights g of :func:`mixture`, without the mixed logits."""
-    if client.gate is None:
-        raise UsageError(f"client {client.client_id} ({client.algorithm}) has no gating network")
-    if gate_override is not None:
-        return np.full(len(raw), float(gate_override))
-    mode = GATE_INPUT[client.algorithm]
-    if features is None and mode == "feature":
-        features = extract_features(client.global_model, raw)
-    return gate_graph(param_consts(client.gate), graph.const(_gate_inputs(mode, raw, features))).data
-
-
 def mixture(
     client: PersonalizedClient,
     raw: Tensor,
-    features: Tensor | None = None,
+    features: Tensor,
     gate_override: float | None = None,
-) -> tuple[Tensor, Tensor | None]:
+) -> tuple[Tensor, Tensor]:
     """The one mixture-inference path: per-example gate weights g and the
     mixed logits g * global + (1 - g) * personalized for an input batch.
 
     ``raw`` is the batch (B, C, S, S) and ``features`` the shared extractor's
-    activations of it. Mixing needs the features, so without them the logits
-    are None and only g is computed: a feature-reading gate then extracts its
-    own inputs, a raw-reading gate never runs the extractor.
-    ``gate_override`` in [0, 1] sets every g for boundary checks. Returns (g, logits).
+    activations of it. ``gate_override`` in [0, 1] sets every g for boundary
+    checks. Returns (g, logits).
     """
     if gate_override is not None and not 0.0 <= gate_override <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {gate_override}")
-    g = _gate_weights(client, raw, features, gate_override)
-    if features is None:
-        return Tensor._wrap(g), None
+    if client.gate is None:
+        raise UsageError(f"client {client.client_id} ({client.algorithm}) has no gating network")
+    if gate_override is None:
+        inputs = _gate_inputs(GATE_INPUT[client.algorithm], raw, features)
+        g = gate_graph(param_consts(client.gate), graph.const(inputs)).data
+    else:
+        g = np.full(len(raw), float(gate_override))
     global_out = classify(client.global_model, features)
     local_out = classify(client.global_model, features, classifier=client.personalized)
     mixed = graph.mix(graph.const(g), graph.const(global_out), graph.const(local_out))
     return Tensor._wrap(g), Tensor._wrap(mixed.data)
-
-
-def moe_predict(x: Tensor, client: PersonalizedClient, gate_override: float | None = None) -> Tensor:
-    """Mixture logits for a batch (B, C, S, S) or a single example (C, S, S)."""
-    single = x.ndim == 3
-    xb = Tensor._wrap(x.data[None]) if single else x
-    _, mixed = mixture(client, xb, extract_features(client.global_model, xb), gate_override)
-    return Tensor._wrap(mixed.data[0]) if single else mixed
-
-
-def mean_gate_weight(
-    client: PersonalizedClient, gate_data: LabeledDataset, features: Tensor | None = None
-) -> float:
-    """Average mixing weight g over a gate set; the global expert's share.
-    ``features`` are the shared extractor's activations of the gate set, if
-    the caller already has them."""
-    return float(_gate_weights(client, gate_data.features, features).mean())

@@ -195,22 +195,21 @@ def test_criterion_3_mixing_boundary_identities():
     )
     glob = models.ModelParams(spec, trained)
     client_split = data.split_per_gate(range(len(ds)), ratio=0.8, seed=1)
-    client = personalization.run_pfl_mf(
-        0,
-        ds.subset(client_split.per_indices),
-        ds.subset(client_split.gate_indices),
-        glob,
+    head_client = personalization.HeadClient(
+        0, 4, ds.subset(client_split.per_indices), ds.subset(client_split.gate_indices)
+    )
+    client, = personalization.personalize_heads(
+        "pfl_mf", glob, [head_client],
         personalization.PersonalizationConfig("pfl_mf", epochs=3, adapt_lr=0.02, gate_lr=0.05, batch_size=16),
-        seed=4,
     )
 
     inputs = Tensor(np.random.default_rng(11).uniform(size=(1000, 1, 32, 32)))
-    to_global = personalization.moe_predict(inputs, client, gate_override=1.0)
+    feats = models.extract_features(glob, inputs)
+    _, to_global = personalization.mixture(client, inputs, feats, gate_override=1.0)
     global_argmax = models.forward(glob, inputs).data.argmax(axis=1)
     violations_one = int((to_global.data.argmax(axis=1) != global_argmax).sum())
 
-    to_local = personalization.moe_predict(inputs, client, gate_override=0.0)
-    feats = models.extract_features(glob, inputs)
+    _, to_local = personalization.mixture(client, inputs, feats, gate_override=0.0)
     local_argmax = models.classify(glob, feats, classifier=client.personalized).data.argmax(axis=1)
     violations_zero = int((to_local.data.argmax(axis=1) != local_argmax).sum())
 
@@ -317,7 +316,8 @@ def test_criterion_6_gate_safety():
             )
         gate = {name: Tensor(a[0]) for name, a in gate.items()}
         client = personalization.PersonalizedClient(0, "pfl_mf", corrupted, gate, glob)
-        mean_g = personalization.mean_gate_weight(client, gate_ds)
+        g, _ = personalization.mixture(client, gate_ds.features, Tensor._wrap(feats))
+        mean_g = float(g.data.mean())
         assert mean_g > 0.5, f"seed {seed}: mean gate weight {mean_g:.3f}"
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"gate safety took {elapsed:.1f}s"

@@ -1,11 +1,12 @@
 import json
 import re
 import struct
+import threading
 
 import numpy as np
 import pytest
 
-from fedmoe import checkpoint, cli, data, evaluation
+from fedmoe import checkpoint, cli, data, evaluation, personalization
 from fedmoe.numerics import Tensor
 
 CONFIG = """
@@ -336,6 +337,27 @@ class TestDivergence:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: pfl_fb: parameter 'out\.(weight|bias)' of client \d+ is not finite after a "
                             r"step in epoch \d; lower the learning rate\n", err)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_local_on_two_workers(self, workspace, capsys, monkeypatch):
+        config, out = workspace
+        run(["partition", "--config", config])
+        run(["fedavg", "--config", config])
+        config.write_text(CONFIG.format(out=out).replace("epochs = 10\nlr = 0.05", "epochs = 10\nlr = 1e200"))
+        threads = set()
+        train = personalization.train_local_baseline
+
+        def recording(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(personalization, "train_local_baseline", recording)
+        args = ["personalize", "--config", str(config), "--algorithm", "local", "--workers", "2"]
+        assert cli.main(args) == 2
+        assert threads and threading.main_thread() not in threads
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: local: parameter '[\w.]+' of client [0-5] is not finite after a step in "
+                            r"epoch \d+; lower the learning rate\n", err)
 
 
 class TestReportCommand:

@@ -1,8 +1,11 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from fedmoe import data, evaluation, federation, models
-from fedmoe.errors import ConfigError, DivergenceError
+from fedmoe.errors import ConfigError, DivergenceError, UsageError
 from fedmoe.numerics import SgdConfig, Tensor, graph, kernels, sgd_step
 from fedmoe.numerics.optim import OptimizerState
 
@@ -49,7 +52,7 @@ class TestLocalUpdate:
 
         rng = np.random.default_rng(5)
         order = rng.permutation(len(ds))
-        leaves = models.param_leaves(params.tensors)
+        leaves = {k: graph.leaf(t) for k, t in params.tensors.items()}
         logits = models.forward_graph(MLP, leaves, graph.leaf(ds.features.data[order]))
         loss = graph.cross_entropy(logits, ds.labels[order])
         names = list(params.tensors)
@@ -200,6 +203,43 @@ class TestTrainFederated:
             np.array_equal(one.final.tensors[k].data, two.final.tensors[k].data) for k in one.final.tensors
         )
         assert [r.client_ids for r in one.rounds] == [r.client_ids for r in two.rounds]
+
+    def test_zero_workers_is_usage_error(self):
+        train = tiny_dataset(seed=14, per_class=20)
+        partition = data.dirichlet_partition(train, data.PartitionSpec(6, 1.0, seed=3))
+        with pytest.raises(UsageError, match="workers: must be positive, got 0"):
+            federation.train_federated(train, partition, MLP, fed_cfg(), eval_fn=lambda p: 0.0, workers=0)
+
+
+class TestClientMap:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_results_keep_input_order(self, workers):
+        # Later items finish first, so results taken as they finish would be reversed.
+        def square_late_first(i):
+            time.sleep(0.002 * (8 - i))
+            return i * i
+
+        assert federation.client_map(square_late_first, list(range(8)), workers) == [i * i for i in range(8)]
+
+    def test_one_worker_runs_on_the_calling_thread(self):
+        here = threading.current_thread()
+        assert federation.client_map(lambda _: threading.current_thread(), range(3), 1) == [here] * 3
+
+    def test_more_workers_run_items_at_once_off_the_calling_thread(self):
+        # Each item waits for the other, which only a pool of two can satisfy.
+        barrier = threading.Barrier(2, timeout=10)
+
+        def meet(_):
+            barrier.wait()
+            return threading.current_thread()
+
+        threads = federation.client_map(meet, [0, 1], 5)
+        assert threads[0] is not threads[1] and threading.current_thread() not in threads
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_nonpositive_workers_is_usage_error(self, workers):
+        with pytest.raises(UsageError, match=f"workers: must be positive, got {workers}"):
+            federation.client_map(abs, [1, 2], workers)
 
 
 class TestSampling:

@@ -202,7 +202,7 @@ class TestGradientPruning:
 
     def test_parameter_gradients_do_not_depend_on_requesting_the_input(self):
         params, x, labels = self.lenet_batch()
-        leaves = models.param_leaves(params)
+        leaves = {k: graph.leaf(t) for k, t in params.items()}
         xv = graph.leaf(x)
         loss = graph.cross_entropy(models.forward_graph(self.SPEC, leaves, xv), labels)
         alone = graph.gradient(loss, list(leaves.values()))

@@ -46,6 +46,22 @@ def fit_gate(mode, inputs, global_logits, local_logits, labels, cfg, seed):
     return {name: Tensor(a[0]) for name, a in gate.items()}
 
 
+def heads(algorithm, glob, ds, cfg, seed, client_id=0, gate_data=None):
+    """One client through personalize_heads, the entry point of pfl_fb, pfl_mf and pfl_mfe."""
+    client = personalization.HeadClient(client_id, seed, ds, gate_data)
+    return personalization.personalize_heads(algorithm, glob, [client], cfg)[0]
+
+
+def mix(client, x, gate_override=None):
+    """The mixture of a batch, given the global extractor's features of it."""
+    return personalization.mixture(client, x, models.extract_features(client.global_model, x), gate_override)
+
+
+def mean_gate(client, ds):
+    """Mean mixing weight g of a client's gate over a dataset."""
+    return float(mix(client, ds.features)[0].data.mean())
+
+
 def sigmoid(z):
     """The stable two-branch logistic function, in plain numpy."""
     e = np.exp(-np.abs(z))
@@ -88,7 +104,7 @@ class TestPflFt:
 
         rng = np.random.default_rng(6)
         order = rng.permutation(len(ds))
-        leaves = models.param_leaves(glob.tensors)
+        leaves = {k: graph.leaf(t) for k, t in glob.tensors.items()}
         logits = models.forward_graph(SPEC, leaves, graph.leaf(ds.features.data[order]))
         loss = graph.cross_entropy(logits, ds.labels[order])
         names = list(glob.tensors)
@@ -114,13 +130,13 @@ class TestPflFb:
     def test_extractor_is_untouched(self):
         glob, ds = global_model()
         before = {k: t.data.copy() for k, t in glob.extractor.items()}
-        out = personalization.pfl_fb(glob, ds, pcfg("pfl_fb"), seed=8)
+        out = heads("pfl_fb", glob, ds, pcfg("pfl_fb"), seed=8)
         assert all(np.array_equal(out.global_model.extractor[k].data, before[k]) for k in before)
         assert set(out.personalized) == set(glob.classifier)
 
     def test_vanishing_lr_returns_global_classifier(self):
         glob, ds = global_model()
-        out = personalization.pfl_fb(glob, ds, pcfg("pfl_fb", adapt_lr=VANISHING_LR), seed=9)
+        out = heads("pfl_fb", glob, ds, pcfg("pfl_fb", adapt_lr=VANISHING_LR), seed=9)
         assert all(np.array_equal(out.personalized[k].data, glob.classifier[k].data) for k in glob.classifier)
 
     def test_update_matches_classifier_finite_differences(self):
@@ -130,7 +146,7 @@ class TestPflFb:
         feats = models.extract_features(glob, ds.features).data
 
         names = list(glob.classifier)
-        leaves = models.param_leaves(glob.classifier)
+        leaves = {k: graph.leaf(t) for k, t in glob.classifier.items()}
         logits = models.classify_graph(SPEC, leaves, graph.leaf(feats))
         loss = graph.cross_entropy(logits, ds.labels)
         analytic = graph.gradient(loss, [leaves[k] for k in names])
@@ -153,7 +169,7 @@ class TestTrainGate:
         v = ds.features.data.reshape(len(ds), -1)
         assert (gate_weights(gate, v) == 0.5).all()
         client = personalization.PersonalizedClient(0, "pfl_mf", glob.classifier, gate, glob)
-        assert (personalization.mixture(client, ds.features)[0].data == 0.5).all()
+        assert (mix(client, ds.features)[0].data == 0.5).all()
 
     def test_identical_experts_leave_gate_at_init(self):
         glob, ds = global_model()
@@ -183,21 +199,17 @@ class TestTrainGate:
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
     def test_feature_mode_dimensions(self):
-        # Each gate reads its own input kind; a feature-reading gate given no
-        # features extracts the same ones the caller would have passed.
+        # Each gate reads its own input kind, and mixes one g per example.
         glob, ds = global_model()
         feats = models.extract_features(glob, ds.features)
         s = data.split_per_gate(range(len(ds)), ratio=0.8, seed=0)
         per, gate_ds = ds.subset(s.per_indices), ds.subset(s.gate_indices)
         cfg = pcfg("pfl_mf", epochs=1)
-        for run, dim in ((personalization.run_pfl_mf, SPEC.raw_input_dim),
-                         (personalization.run_pfl_mfe, SPEC.feature_dim)):
-            client = run(0, per, gate_ds, glob, cfg, seed=12)
+        for algorithm, dim in (("pfl_mf", SPEC.raw_input_dim), ("pfl_mfe", SPEC.feature_dim)):
+            client = heads(algorithm, glob, per, cfg, seed=12, gate_data=gate_ds)
             assert client.gate["weight"].shape[0] == dim
-            g, logits = personalization.mixture(client, ds.features)
-            g_given, _ = personalization.mixture(client, ds.features, feats)
-            assert logits is None and g.shape == (len(ds),)
-            assert np.array_equal(g.data, g_given.data)
+            g, logits = personalization.mixture(client, ds.features, feats)
+            assert g.shape == (len(ds),) and logits.shape == (len(ds), SPEC.classes)
 
 
 class TestMoeRuns:
@@ -212,15 +224,15 @@ class TestMoeRuns:
         glob, _ = global_model()
         per, gate_ds = self.split_client()
         cfg = pcfg("pfl_mf", epochs=1)
-        moe = personalization.run_pfl_mf(0, per, gate_ds, glob, cfg, seed=13)
-        fb = personalization.pfl_fb(glob, per, pcfg("pfl_fb", epochs=1), seed=13)
+        moe = heads("pfl_mf", glob, per, cfg, seed=13, gate_data=gate_ds)
+        fb = heads("pfl_fb", glob, per, pcfg("pfl_fb", epochs=1), seed=13)
         assert all(np.array_equal(moe.personalized[k].data, fb.personalized[k].data) for k in fb.personalized)
 
     def test_vanishing_adapt_lr_keeps_gate_at_init(self):
         glob, _ = global_model()
         per, gate_ds = self.split_client(seed=9)
         cfg = pcfg("pfl_mf", epochs=1, adapt_lr=VANISHING_LR)
-        moe = personalization.run_pfl_mf(0, per, gate_ds, glob, cfg, seed=14)
+        moe = heads("pfl_mf", glob, per, cfg, seed=14, gate_data=gate_ds)
         assert np.abs(moe.gate["weight"].data).max() == 0.0
         assert moe.gate["bias"].data.tolist() == [0.0]
 
@@ -228,8 +240,8 @@ class TestMoeRuns:
         glob, _ = global_model()
         per, gate_ds = self.split_client(seed=10)
         cfg = pcfg("pfl_mf", epochs=2)
-        mf = personalization.run_pfl_mf(0, per, gate_ds, glob, cfg, seed=15)
-        mfe = personalization.run_pfl_mfe(0, per, gate_ds, glob, cfg, seed=15)
+        mf = heads("pfl_mf", glob, per, cfg, seed=15, gate_data=gate_ds)
+        mfe = heads("pfl_mfe", glob, per, cfg, seed=15, gate_data=gate_ds)
         assert mf.gate["weight"].shape[0] == SPEC.raw_input_dim
         assert mfe.gate["weight"].shape[0] == SPEC.feature_dim
         # Identical adaptation stream: the personalized classifiers agree.
@@ -239,30 +251,30 @@ class TestMoeRuns:
         glob, _ = global_model()
         frozen = {k: t.data.copy() for k, t in {**glob.extractor, **glob.classifier}.items()}
         per, gate_ds = self.split_client(seed=11)
-        moe = personalization.run_pfl_mf(0, per, gate_ds, glob, pcfg("pfl_mf"), seed=16)
+        moe = heads("pfl_mf", glob, per, pcfg("pfl_mf"), seed=16, gate_data=gate_ds)
         for k, arr in frozen.items():
             merged = {**moe.global_model.extractor, **moe.global_model.classifier}
             assert np.array_equal(merged[k].data, arr)
 
     # The values the CLI recorded when it ran the extractor over the gate set
     # a second time, after the run; the run's own features give the same g.
-    @pytest.mark.parametrize("run, recorded", [
-        (personalization.run_pfl_mf, 0.5141748261471378),
-        (personalization.run_pfl_mfe, 0.5037070362363202),
+    @pytest.mark.parametrize("algorithm, recorded", [
+        ("pfl_mf", 0.5141748261471378),
+        ("pfl_mfe", 0.5037070362363202),
     ])
-    def test_mean_g_comes_from_the_run_and_is_unchanged(self, run, recorded):
+    def test_mean_g_comes_from_the_run_and_is_unchanged(self, algorithm, recorded):
         glob, _ = global_model()
         per, gate_ds = self.split_client(seed=10)
-        client = run(0, per, gate_ds, glob, pcfg("pfl_mf", epochs=2), seed=15)
-        assert client.mean_g == personalization.mean_gate_weight(client, gate_ds)
+        client = heads(algorithm, glob, per, pcfg("pfl_mf", epochs=2), seed=15, gate_data=gate_ds)
+        assert client.mean_g == mean_gate(client, gate_ds)
         assert client.mean_g == pytest.approx(recorded, rel=1e-12)
 
     def test_determinism(self):
         glob, _ = global_model()
         per, gate_ds = self.split_client(seed=12)
         cfg = pcfg("pfl_mf", epochs=2)
-        a = personalization.run_pfl_mf(0, per, gate_ds, glob, cfg, seed=17)
-        b = personalization.run_pfl_mf(0, per, gate_ds, glob, cfg, seed=17)
+        a = heads("pfl_mf", glob, per, cfg, seed=17, gate_data=gate_ds)
+        b = heads("pfl_mf", glob, per, cfg, seed=17, gate_data=gate_ds)
         assert all(np.array_equal(a.gate[k].data, b.gate[k].data) for k in a.gate)
         assert all(np.array_equal(a.personalized[k].data, b.personalized[k].data) for k in a.personalized)
 
@@ -300,15 +312,14 @@ class TestMoePredict:
         glob, _ = global_model()
         ds = client_dataset(seed=14, per_class=10)
         s = data.split_per_gate(range(len(ds)), ratio=0.8, seed=0)
-        client = personalization.run_pfl_mf(
-            3, ds.subset(s.per_indices), ds.subset(s.gate_indices), glob, pcfg("pfl_mf"), seed=19
-        )
+        client = heads("pfl_mf", glob, ds.subset(s.per_indices), pcfg("pfl_mf"), seed=19, client_id=3,
+                       gate_data=ds.subset(s.gate_indices))
         return client, ds
 
     def test_gate_override_one_matches_global_model(self):
         client, ds = self.trained_client()
         x = ds.features
-        forced = personalization.moe_predict(x, client, gate_override=1.0)
+        _, forced = mix(client, x, gate_override=1.0)
         glob_params = client.global_model
         want = models.forward(glob_params, x)
         assert np.array_equal(forced.data.argmax(axis=1), want.data.argmax(axis=1))
@@ -316,7 +327,7 @@ class TestMoePredict:
     def test_gate_override_zero_matches_personalized_model(self):
         client, ds = self.trained_client()
         x = ds.features
-        forced = personalization.moe_predict(x, client, gate_override=0.0)
+        _, forced = mix(client, x, gate_override=0.0)
         feats = models.extract_features(client.global_model, x)
         want = models.classify(client.global_model, feats, classifier=client.personalized)
         assert np.array_equal(forced.data.argmax(axis=1), want.data.argmax(axis=1))
@@ -324,7 +335,7 @@ class TestMoePredict:
     def test_matches_composition_of_model_ops(self):
         client, ds = self.trained_client()
         x = ds.features
-        got = personalization.moe_predict(x, client)
+        _, got = mix(client, x)
         feats = models.extract_features(client.global_model, x)
         g = gate_weights(client.gate, x.data.reshape(len(ds), -1))[:, None]
         glob = models.classify(client.global_model, feats).data
@@ -333,15 +344,9 @@ class TestMoePredict:
 
     def test_missing_gate_is_usage_error(self):
         glob, ds = global_model()
-        fb = personalization.pfl_fb(glob, ds, pcfg("pfl_fb", epochs=1), seed=20)
+        fb = heads("pfl_fb", glob, ds, pcfg("pfl_fb", epochs=1), seed=20)
         with pytest.raises(UsageError):
-            personalization.moe_predict(ds.features, fb)
-
-    def test_single_example_shape(self):
-        client, ds = self.trained_client()
-        one = Tensor(ds.features.data[0])
-        out = personalization.moe_predict(one, client)
-        assert out.shape == (SPEC.classes,)
+            mix(fb, ds.features)
 
 
 class TestGateSafety:
@@ -372,7 +377,7 @@ class TestGateSafety:
         cfg = pcfg("pfl_mf", epochs=30, batch_size=16, gate_lr=0.1)
         gate = fit_gate("raw", inputs, glog, llog, gate_ds.labels, cfg, seed=7)
         client = personalization.PersonalizedClient(0, "pfl_mf", corrupted, gate, glob)
-        assert personalization.mean_gate_weight(client, gate_ds) > 0.5
+        assert mean_gate(client, gate_ds) > 0.5
 
 
 class TestConfigValidation:
@@ -426,12 +431,21 @@ class TestHeadStack:
         clients = self.clients(algorithm != "pfl_fb")
         stacked = personalization.personalize_heads(algorithm, glob, clients, cfg)
         for c, got in zip(clients, stacked):
-            if algorithm == "pfl_fb":
-                alone = personalization.pfl_fb(glob, c.data, cfg, c.seed, c.client_id)
-            else:
-                run = personalization.run_pfl_mf if algorithm == "pfl_mf" else personalization.run_pfl_mfe
-                alone = run(c.client_id, c.data, c.gate_data, glob, cfg, c.seed)
+            alone = personalization.personalize_heads(algorithm, glob, [c], cfg)[0]
             self.assert_same(got, alone)
+
+    @pytest.mark.parametrize("algorithm", ["pfl_mf", "pfl_mfe"])
+    def test_mixture_client_without_gate_set_is_usage_error(self, algorithm):
+        glob, _ = global_model()
+        clients = self.clients(moe=True)
+        clients[2] = personalization.HeadClient(clients[2].client_id, clients[2].seed, clients[2].data)
+        with pytest.raises(UsageError, match=f"{algorithm}: client 12 has no gate set"):
+            personalization.personalize_heads(algorithm, glob, clients, pcfg(algorithm))
+
+    def test_zero_workers_is_usage_error(self):
+        glob, _ = global_model()
+        with pytest.raises(UsageError, match="workers: must be positive, got 0"):
+            personalization.personalize_heads("pfl_fb", glob, self.clients(moe=False), pcfg("pfl_fb"), workers=0)
 
     @pytest.mark.parametrize("algorithm", ["pfl_fb", "pfl_mf", "pfl_mfe"])
     def test_worker_count_does_not_change_any_client(self, algorithm):
