@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 
@@ -87,16 +88,7 @@ def load_tensors(path) -> tuple[dict[str, Tensor], dict]:
 
 
 def save_model(path, params: ModelParams, extra: dict | None = None) -> str:
-    manifest = {
-        "kind": "model",
-        "spec": {
-            "architecture": params.spec.architecture,
-            "channels": params.spec.channels,
-            "side": params.spec.side,
-            "classes": params.spec.classes,
-            "hidden_sizes": list(params.spec.hidden_sizes),
-        },
-    }
+    manifest = {"kind": "model", "spec": params.spec.to_json()}
     if extra:
         manifest.update(extra)
     return save_tensors(path, params.tensors, manifest)
@@ -106,14 +98,11 @@ def load_model(path) -> tuple[ModelParams, dict]:
     tensors, manifest = load_tensors(path)
     if manifest.get("kind") != "model":
         raise DataFormatError(f"checkpoint {path} is not a model (kind={manifest.get('kind')!r})")
-    s = manifest["spec"]
-    spec = ModelSpec(
-        architecture=s["architecture"],
-        channels=s["channels"],
-        side=s["side"],
-        classes=s["classes"],
-        hidden_sizes=tuple(s["hidden_sizes"]),
-    )
+    stored, names = manifest.get("spec"), sorted(f.name for f in fields(ModelSpec))
+    if not isinstance(stored, dict) or sorted(stored) != names:
+        raise DataFormatError(f"checkpoint {path} records the model spec {stored!r}; "
+                              f"it needs exactly the fields {', '.join(names)}")
+    spec = ModelSpec(**stored)
     layout = param_shapes(spec)
     for name in [*layout, *(name for name in tensors if name not in layout)]:
         if name not in tensors:

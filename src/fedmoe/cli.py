@@ -49,12 +49,10 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[data.LabeledDataset, data.Lab
         train = data.make_synthetic(per_class=cfg.dataset.per_class, seed=seed, **kwargs)
         test = data.synthetic_test_set(seed, per_class=cfg.dataset.test_per_class, **kwargs)
     else:
-        paths = cfg.dataset.idx_paths
-        train = data.pad_to_32(
-            data.load_idx(paths["train_images"], paths["train_labels"], classes=cfg.dataset.classes)
-        )
-        test = data.pad_to_32(
-            data.load_idx(paths["test_images"], paths["test_labels"], classes=cfg.dataset.classes)
+        paths, classes = cfg.dataset.idx_paths, cfg.dataset.classes
+        train, test = (
+            data.pad_to_32(data.load_idx(paths[f"{part}_images"], paths[f"{part}_labels"], classes=classes))
+            for part in ("train", "test")
         )
     data.require_all_classes(train)
     return train, test
@@ -172,19 +170,8 @@ def cmd_fedavg(cfg: ExperimentConfig) -> int:
         lambda x: models.forward(result.best.params, x), test
     )
     global_acc = result.best.accuracy
-    records = []
-    for cid, indices in enumerate(partition.clients):
-        ratios = evaluation.class_ratios(train.labels[list(indices)], train.classes)
-        records.append(
-            evaluation.MetricsRecord(
-                run_id=f"seed{cfg.seed}",
-                algorithm="fedavg",
-                client_id=cid,
-                local_acc=evaluation.local_test_from_per_class(per_class, ratios),
-                global_acc=global_acc,
-                seed=cfg.seed,
-            )
-        )
+    records = _metrics_records(cfg, "fedavg", train, partition,
+                               [(cid, per_class, global_acc, None) for cid in range(len(partition))])
     evaluation.write_metrics_csv(records, cfg.out_dir / "metrics_fedavg.csv")
     _write_manifest(cfg, "fedavg", {"checkpoint_sha256": digest, "best_round": result.best.round_index})
     log.info("best round %d, global accuracy %.4f", result.best.round_index, global_acc)
@@ -192,8 +179,25 @@ def cmd_fedavg(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _client_seed(cfg: ExperimentConfig, namespace: int, client_id: int) -> int:
-    return derive_seed(cfg.seed, namespace, client_id)
+def _metrics_records(cfg: ExperimentConfig, algorithm: str, train: data.LabeledDataset, partition,
+                     scores) -> list[evaluation.MetricsRecord]:
+    """One metrics row per ``(client id, per-class test accuracy, global
+    accuracy, mean g)``: the local test weighs the per-class accuracy by the
+    client's training-set class ratios."""
+    return [
+        evaluation.MetricsRecord(
+            run_id=f"seed{cfg.seed}",
+            algorithm=algorithm,
+            client_id=cid,
+            local_acc=evaluation.local_test_from_per_class(
+                per_class, evaluation.class_ratios(train.labels[list(partition.clients[cid])], train.classes)
+            ),
+            global_acc=global_acc,
+            seed=cfg.seed,
+            mean_gate=mean_g,
+        )
+        for cid, per_class, global_acc, mean_g in scores
+    ]
 
 
 def _personalize_full(
@@ -210,27 +214,27 @@ def _personalize_full(
         trained = personalization.train_local_baseline(
             client_ds,
             cfg.model,
-            seed=_client_seed(cfg, _SEED_LOCAL, client_id),
+            seed=derive_seed(cfg.seed, _SEED_LOCAL, client_id),
             epochs=cfg.local_baseline.epochs,
             sgd=cfg.local_baseline.sgd,
             batch_size=cfg.local_baseline.batch,
             client_id=client_id,
         )
         return personalization.PersonalizedClient(client_id, "local", trained.tensors, None, global_params)
-    seed = _client_seed(cfg, _SEED_PERSONALIZE, client_id)
+    seed = derive_seed(cfg.seed, _SEED_PERSONALIZE, client_id)
     return personalization.pfl_ft(global_params, client_ds, cfg.personalization[algorithm], seed, client_id)
 
 
 def _head_clients(cfg: ExperimentConfig, algorithm: str, partition, train: data.LabeledDataset):
     """The clients of a head-training stack, each subset built when read."""
     for cid, indices in enumerate(partition.clients):
-        seed = _client_seed(cfg, _SEED_PERSONALIZE, cid)
+        seed = derive_seed(cfg.seed, _SEED_PERSONALIZE, cid)
         if algorithm == "pfl_fb":
             yield personalization.HeadClient(cid, seed, train.subset(list(indices)))
             continue
         try:
             client_split = data.split_per_gate(
-                indices, cfg.personalization[algorithm].split_ratio, _client_seed(cfg, _SEED_SPLIT, cid)
+                indices, cfg.personalization[algorithm].split_ratio, derive_seed(cfg.seed, _SEED_SPLIT, cid)
             )
         except DegenerateClientError as e:
             raise DegenerateClientError(
@@ -291,35 +295,19 @@ def _check_checkpoint(cfg: ExperimentConfig, ckpt_path: Path) -> None:
             )
 
 
-class _TestSetEvaluator:
-    """Shared per-algorithm evaluation state: test-set extractor features are
-    computed once and reused by every client that shares the extractor."""
-
-    def __init__(self, test: data.LabeledDataset, global_model: models.ModelParams):
-        self.test = test
-        self.global_model = global_model
-        self._features: Tensor | None = None
-
-    @property
-    def features(self) -> Tensor:
-        if self._features is None:
-            chunks = [
-                models.extract_features(self.global_model, Tensor._wrap(self.test.features.data[s : s + 512]))
-                for s in range(0, len(self.test), 512)
-            ]
-            self._features = Tensor._wrap(np.concatenate([c.data for c in chunks]))
-        return self._features
-
-    def per_class_accuracy(self, client: personalization.PersonalizedClient) -> np.ndarray:
-        if client.algorithm in ("local", "pfl_ft"):
-            params = models.ModelParams(self.global_model.spec, client.personalized)
-            return evaluation.per_class_accuracy(lambda x: models.forward(params, x), self.test)
-        if client.algorithm == "pfl_fb":
-            logits = models.classify(self.global_model, self.features, classifier=client.personalized)
-        else:
-            _, logits = personalization.mixture(client, self.test.features, self.features)
-        pred = np.argmax(logits.data, axis=1)
-        return evaluation.per_class_accuracy_from_predictions(pred, self.test)
+def _per_class_accuracy(client: personalization.PersonalizedClient, test: data.LabeledDataset,
+                        features: Tensor | None) -> np.ndarray:
+    """A client's per-class test accuracy. ``features`` are the shared
+    extractor's test-set activations (None for the full models of ``local``
+    and ``pfl_ft``)."""
+    if features is None:
+        params = models.ModelParams(client.global_model.spec, client.personalized)
+        return evaluation.per_class_accuracy(lambda x: models.forward(params, x), test)
+    if client.gate is None:
+        logits = models.classify(client.global_model, features, classifier=client.personalized)
+    else:
+        _, logits = personalization.mixture(client, test.features, features)
+    return evaluation.per_class_accuracy_from_predictions(np.argmax(logits.data, axis=1), test)
 
 
 def cmd_personalize(cfg: ExperimentConfig, algorithm: str) -> int:
@@ -336,7 +324,6 @@ def cmd_personalize(cfg: ExperimentConfig, algorithm: str) -> int:
         raise ConfigError(
             f"checkpoint model spec {global_params.spec} does not match configured {cfg.model}"
         )
-    evaluator = _TestSetEvaluator(test, global_params)
     is_moe = algorithm in personalization.MOE_ALGORITHMS
 
     if algorithm in ("local", "pfl_ft"):
@@ -344,33 +331,22 @@ def cmd_personalize(cfg: ExperimentConfig, algorithm: str) -> int:
             return _personalize_full(cfg, algorithm, cid, partition.clients[cid], train, global_params)
 
         clients = federation.client_map(work, range(len(partition)), cfg.workers)
+        features = None
     else:
         clients = personalization.personalize_heads(
             algorithm, global_params, _head_clients(cfg, algorithm, partition, train),
             cfg.personalization[algorithm], cfg.workers,
         )
+        features = evaluation.batched(lambda x: models.extract_features(global_params, x), test.features)
 
     artifact_dir = cfg.out_dir / "clients" / algorithm
     artifact_dir.mkdir(parents=True, exist_ok=True)
-    records = []
+    scores = []
     for client in clients:
         cid = client.client_id
-        ratios = evaluation.class_ratios(train.labels[list(partition.clients[cid])], train.classes)
-        per_class = evaluator.per_class_accuracy(client)
-        local_acc = evaluation.local_test_from_per_class(per_class, ratios)
-        counts = evaluator.test.class_counts()
-        global_acc = float(np.nansum(per_class * counts) / len(evaluator.test))
-        records.append(
-            evaluation.MetricsRecord(
-                run_id=f"seed{cfg.seed}",
-                algorithm=algorithm,
-                client_id=cid,
-                local_acc=local_acc,
-                global_acc=global_acc,
-                seed=cfg.seed,
-                mean_gate=client.mean_g,
-            )
-        )
+        per_class = _per_class_accuracy(client, test, features)
+        global_acc = float(np.nansum(per_class * test.class_counts()) / len(test))
+        scores.append((cid, per_class, global_acc, client.mean_g))
         artifact = dict(client.personalized)
         extra = {"kind": "client", "algorithm": algorithm, "client_id": cid, "seed": cfg.seed}
         if is_moe:
@@ -378,6 +354,7 @@ def cmd_personalize(cfg: ExperimentConfig, algorithm: str) -> int:
             extra["gate_input_mode"] = personalization.GATE_INPUT[algorithm]
         checkpoint.save_tensors(artifact_dir / f"client_{cid}.ckpt", artifact, extra)
 
+    records = _metrics_records(cfg, algorithm, train, partition, scores)
     evaluation.write_metrics_csv(records, cfg.out_dir / f"metrics_{algorithm}.csv", include_mean_gate=is_moe)
     evaluation.write_metrics_jsonl(records, cfg.out_dir / f"metrics_{algorithm}.jsonl")
     _write_manifest(cfg, algorithm, {"clients": len(partition)})

@@ -117,13 +117,7 @@ class ExperimentConfig:
                 "center_jitter": self.dataset.center_jitter,
                 "idx_paths": dict(self.dataset.idx_paths),
             },
-            "model": {
-                "architecture": self.model.architecture,
-                "channels": self.model.channels,
-                "side": self.model.side,
-                "classes": self.model.classes,
-                "hidden_sizes": list(self.model.hidden_sizes),
-            },
+            "model": self.model.to_json(),
             "partition": {
                 "clients": self.partition.clients,
                 "concentration": self.partition.concentration,
@@ -167,10 +161,12 @@ class _Reader:
     """Typed access to one parsed section, with section.key error paths."""
 
     def __init__(self, parser: configparser.ConfigParser, section: str):
-        self.section = section
-        self.values = dict(DEFAULTS.get(section.split(".")[0], {}))
-        if parser.has_section(section):
-            self.values.update(parser[section])
+        # A dotted section ([personalization.pfl_mf]) overrides its base section.
+        self.section, base = section, section.split(".")[0]
+        self.values = dict(DEFAULTS.get(base, {}))
+        for name in dict.fromkeys((base, section)):
+            if parser.has_section(name):
+                self.values.update(parser[name])
 
     def _get(self, key: str) -> str:
         if key not in self.values:
@@ -226,12 +222,14 @@ def load_config(path, seed_override: int | None = None, workers_override: int | 
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
-    except configparser.Error as e:
+    except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"malformed config file {path}: {e}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
     known_sections = set(DEFAULTS) | {f"personalization.{alg}" for alg in ALGORITHMS}
     for section in parser.sections():
+        if section == "personalization.local":
+            raise ConfigError(f"{section}: local trains with the [local_baseline] keys; remove this section")
         if section not in known_sections:
             raise ConfigError(f"{section}: unknown section")
 
@@ -347,11 +345,7 @@ def load_config(path, seed_override: int | None = None, workers_override: int | 
     base.check_known_keys()
     personalization_cfgs: dict[str, PersonalizationConfig] = {}
     for alg in ALGORITHMS:
-        # Each algorithm inherits [personalization] and may override per-section.
-        reader = _Reader(parser, "personalization")
-        reader.section = f"personalization.{alg}"
-        if parser.has_section(f"personalization.{alg}"):
-            reader.values.update(parser[f"personalization.{alg}"])
+        reader = _Reader(parser, f"personalization.{alg}")
         reader.check_known_keys()
         personalization_cfgs[alg] = _wrap(
             f"personalization.{alg}",

@@ -94,7 +94,6 @@ class ClientSplit:
 
     per_indices: tuple[int, ...]
     gate_indices: tuple[int, ...]
-    ratio: float
 
 
 def dirichlet_partition(ds: LabeledDataset, spec: PartitionSpec) -> ClientPartition:
@@ -150,7 +149,6 @@ def split_per_gate(client_indices, ratio: float, seed: int) -> ClientSplit:
     return ClientSplit(
         per_indices=tuple(sorted(idx[:n_per].tolist())),
         gate_indices=tuple(sorted(idx[n_per:].tolist())),
-        ratio=ratio,
     )
 
 
@@ -171,26 +169,30 @@ def _require_positive(path, *fields: tuple[int, str, int]) -> None:
 
 def load_idx(images_path, labels_path, classes: int | None = None) -> LabeledDataset:
     """Load an IDX image/label pair (big-endian headers, one byte per pixel)."""
-    with open(images_path, "rb") as f:
-        magic, count, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, "image header"))
-        if magic != IDX_IMAGE_MAGIC:
-            raise DataFormatError(
-                f"bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x} in {images_path}", offset=0
-            )
-        _require_positive(images_path, (4, "image count", count), (8, "rows", rows), (12, "columns", cols))
-        pixels = np.frombuffer(_read_exact(f, count * rows * cols, f"{count} images"), dtype=np.uint8)
-        if f.read(1):
-            raise DataFormatError(f"trailing bytes after {count} images in {images_path}", offset=f.tell() - 1)
-    with open(labels_path, "rb") as f:
-        magic, label_count = struct.unpack(">ii", _read_exact(f, 8, "label header"))
-        if magic != IDX_LABEL_MAGIC:
-            raise DataFormatError(
-                f"bad label magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x} in {labels_path}", offset=0
-            )
-        _require_positive(labels_path, (4, "label count", label_count))
-        labels = np.frombuffer(_read_exact(f, label_count, f"{label_count} labels"), dtype=np.uint8)
-        if f.read(1):
-            raise DataFormatError(f"trailing bytes after {label_count} labels in {labels_path}", offset=f.tell() - 1)
+    try:
+        with open(images_path, "rb") as f:
+            magic, count, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, "image header"))
+            if magic != IDX_IMAGE_MAGIC:
+                raise DataFormatError(
+                    f"bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x} in {images_path}", offset=0
+                )
+            _require_positive(images_path, (4, "image count", count), (8, "rows", rows), (12, "columns", cols))
+            pixels = np.frombuffer(_read_exact(f, count * rows * cols, f"{count} images"), dtype=np.uint8)
+            if f.read(1):
+                raise DataFormatError(f"trailing bytes after {count} images in {images_path}", offset=f.tell() - 1)
+        with open(labels_path, "rb") as f:
+            magic, label_count = struct.unpack(">ii", _read_exact(f, 8, "label header"))
+            if magic != IDX_LABEL_MAGIC:
+                raise DataFormatError(
+                    f"bad label magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x} in {labels_path}", offset=0
+                )
+            _require_positive(labels_path, (4, "label count", label_count))
+            labels = np.frombuffer(_read_exact(f, label_count, f"{label_count} labels"), dtype=np.uint8)
+            if f.read(1):
+                raise DataFormatError(f"trailing bytes after {label_count} labels in {labels_path}",
+                                      offset=f.tell() - 1)
+    except OSError as e:
+        raise ConfigError(f"cannot read IDX file {e.filename}: {e.strerror}") from None
     if count != label_count:
         raise DataFormatError(f"{count} images but {label_count} labels ({images_path}, {labels_path})")
     features = (pixels.astype(np.float64) / 255.0).reshape(count, 1, rows, cols)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -33,15 +33,17 @@ def class_ratios(labels: Sequence[int], classes: int) -> np.ndarray:
     return np.bincount(y, minlength=classes) / y.size
 
 
+def batched(fn: Predictor, images: Tensor, batch_size: int = 512) -> Tensor:
+    """``fn`` over consecutive ``batch_size``-image slices, concatenated, so
+    inference over a whole test set holds one slice's activations at a time."""
+    x = images.data
+    return Tensor._wrap(np.concatenate([fn(Tensor._wrap(x[s : s + batch_size])).data
+                                        for s in range(0, len(x), batch_size)]))
+
+
 def predict_labels(predictor: Predictor, ds: LabeledDataset, batch_size: int = 512) -> np.ndarray:
     """Argmax predictions over a dataset; ties break to the lowest class index."""
-    out = np.empty(len(ds), dtype=np.int64)
-    feats = ds.features.data
-    for start in range(0, len(ds), batch_size):
-        stop = min(start + batch_size, len(ds))
-        logits = predictor(Tensor._wrap(feats[start:stop]))
-        out[start:stop] = np.argmax(logits.data, axis=1)
-    return out
+    return np.argmax(batched(predictor, ds.features, batch_size).data, axis=1)
 
 
 def global_test(predictor: Predictor, test_set: LabeledDataset) -> float:
@@ -159,17 +161,10 @@ def _metrics_record(path, line: int, row: dict) -> MetricsRecord:
 def write_metrics_jsonl(records: Iterable[MetricsRecord], path) -> None:
     with atomic_open(path) as f:
         for r in records:
-            row = {
-                "run_id": r.run_id,
-                "algorithm": r.algorithm,
-                "client_id": r.client_id,
-                "local_acc": r.local_acc,
-                "global_acc": r.global_acc,
-                "seed": r.seed,
-                "timestamp": r.timestamp,
-            }
-            if r.mean_gate is not None:
-                row["mean_g"] = r.mean_gate
+            row = asdict(r)
+            mean_g = row.pop("mean_gate")
+            if mean_g is not None:
+                row["mean_g"] = mean_g
             f.write(json.dumps(row, sort_keys=True) + "\n")
 
 

@@ -79,6 +79,12 @@ class FederatedResult:
     rounds: tuple[RoundRecord, ...]
 
 
+def check_workers(workers: int) -> None:
+    """A worker count below one is a UsageError, raised before any work."""
+    if workers < 1:
+        raise UsageError(f"workers: must be positive, got {workers}")
+
+
 def client_map(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[R]:
     """``[fn(item) for item in items]`` on up to ``workers`` threads, in input order.
 
@@ -87,8 +93,7 @@ def client_map(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[R
     of ``min(workers, len(items))`` threads. Every per-client loop of the
     package fans out here.
     """
-    if workers < 1:
-        raise UsageError(f"workers: must be positive, got {workers}")
+    check_workers(workers)
     if workers == 1 or len(items) < 2:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
@@ -290,7 +295,6 @@ def train_federated(
     spec: ModelSpec,
     cfg: FedConfig,
     eval_fn: Callable[[ModelParams], float],
-    init_params: ModelParams | None = None,
     workers: int = 1,
     round_hook: Callable[[RoundRecord], None] | None = None,
 ) -> FederatedResult:
@@ -300,7 +304,8 @@ def train_federated(
     (current params, its data, a seed derived from (seed, round, client)), and
     aggregation sorts by client id, so results are identical at any worker count.
     """
-    params = init_params if init_params is not None else build_model(spec, cfg.seed)
+    check_workers(workers)
+    params = build_model(spec, cfg.seed)
     client_data = [train_set.subset(list(c)) for c in partition.clients]
     best = GlobalCheckpoint(0, params, eval_fn(params))
     records: list[RoundRecord] = []

@@ -4,7 +4,7 @@ plus the per-client linear gating network."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,6 +38,10 @@ class ModelSpec:
         if self.architecture == "mlp" and not self.hidden_sizes:
             raise ConfigError("hidden_sizes: mlp needs at least one hidden layer")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+
+    def to_json(self) -> dict:
+        """The spec as plain JSON data, as checkpoints and run manifests record it."""
+        return {**asdict(self), "hidden_sizes": list(self.hidden_sizes)}
 
     @property
     def input_shape(self) -> tuple[int, int, int]:

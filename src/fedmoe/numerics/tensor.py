@@ -53,11 +53,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        if self.size != 1:
-            raise DimensionError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self.data.reshape(-1)[0])
-
     def tolist(self):
         return self.data.tolist()
 

@@ -9,6 +9,7 @@ gate weights, both experts frozen).
 ``pfl_fb``, ``pfl_mf`` and ``pfl_mfe`` freeze the extractor, so every
 client's head (and gate) trains on cached features, and
 :func:`personalize_heads` trains all clients as one stack in lockstep.
+``pfl_fb`` is the adaptation pass alone: one head trainer serves all three.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ConfigError, UsageError
-from .federation import LossFn, client_map, sgd_epoch, sgd_epochs
+from .federation import LossFn, check_workers, client_map, sgd_epoch, sgd_epochs
 from .models import (
     ModelParams,
     ModelSpec,
@@ -44,14 +45,6 @@ ALGORITHMS = ("local", "pfl_ft", "pfl_fb", "pfl_mf", "pfl_mfe")
 # (PFL-MF) or the shared extractor's features (PFL-MFE).
 GATE_INPUT = {"pfl_mf": "raw", "pfl_mfe": "feature"}
 MOE_ALGORITHMS = tuple(GATE_INPUT)
-
-# Local baseline defaults: 300 epochs of SGD with momentum 0.9, lr 0.1,
-# weight decay 5e-4, batch 64, lr decayed by 0.1 every 100 epochs.
-LOCAL_BASELINE_SGD = SgdConfig(
-    learning_rate=0.1, momentum=0.9, weight_decay=0.0005, lr_decay_factor=0.1, lr_decay_every=100
-)
-LOCAL_BASELINE_EPOCHS = 300
-LOCAL_BASELINE_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -112,9 +105,9 @@ def train_local_baseline(
     client_data: LabeledDataset,
     spec: ModelSpec,
     seed: int,
-    epochs: int = LOCAL_BASELINE_EPOCHS,
-    sgd: SgdConfig = LOCAL_BASELINE_SGD,
-    batch_size: int = LOCAL_BASELINE_BATCH,
+    epochs: int,
+    sgd: SgdConfig,
+    batch_size: int,
     client_id: int = 0,
 ) -> ModelParams:
     """From-scratch training on the client's own data only."""
@@ -241,46 +234,37 @@ def _unstack(stack: dict[str, np.ndarray], k: int) -> dict[str, Tensor]:
     return {name: Tensor._wrap(a[k]) for name, a in stack.items()}
 
 
-def _train_fb(model: ModelParams, cached: list[_Cached], cfg: PersonalizationConfig) -> list[PersonalizedClient]:
-    """Freeze-base fine-tuning of a stack: every client's head, in lockstep."""
-    heads = _stack(model.classifier, len(cached))
-    loss_fn = _head_loss(model.spec, np.concatenate([c.features for c in cached]),
-                         np.concatenate([c.labels for c in cached]))
-    sizes, ids = [len(c.labels) for c in cached], [c.client_id for c in cached]
-    rngs = [np.random.default_rng(c.seed) for c in cached]
-    state, sgd = OptimizerState(), cfg.adapt_sgd()
-    for _ in range(cfg.epochs):
-        sgd_epoch(heads, sizes, cfg.batch_size, loss_fn, state, sgd, rngs, "pfl_fb", ids)
-    return [PersonalizedClient(c.client_id, "pfl_fb", _unstack(heads, k), None, model)
-            for k, c in enumerate(cached)]
-
-
-def _run_moe(
+def _train_heads(
     model: ModelParams, cached: list[_Cached], cfg: PersonalizationConfig, algorithm: str
 ) -> list[PersonalizedClient]:
-    """Shared body of the two expert-mixing algorithms, for a stack.
+    """Head adaptation of a stack, every client in lockstep: pfl_fb, and the
+    shared body of the two expert-mixing algorithms.
 
     Per epoch: one adaptation pass over each adaptation subset (classifier
-    only), then one gating pass over each gate subset with the experts as
-    they stand after that adaptation pass. A client's generator draws its
-    adaptation shuffle, then its gate shuffle. The global classifier and the
-    extractor never change; the extractor being shared lets every pass
-    reuse cached activations.
+    only), then for pfl_mf / pfl_mfe one gating pass over each gate subset
+    with the experts as they stand after that adaptation pass. A client's
+    generator draws its adaptation shuffle, then its gate shuffle. The global
+    classifier and the extractor never change; the extractor being shared
+    lets every pass reuse cached activations.
     """
     heads = _stack(model.classifier, len(cached))
-    gates = _stack(init_gate(model.spec, GATE_INPUT[algorithm]), len(cached))
     adapt_loss = _head_loss(model.spec, np.concatenate([c.features for c in cached]),
                             np.concatenate([c.labels for c in cached]))
-    gate_inputs = np.concatenate([c.gate_inputs for c in cached])
-    global_logits = np.concatenate([c.global_logits for c in cached])
-    gate_labels = np.concatenate([c.gate_labels for c in cached])
-    sizes, gate_sizes = [len(c.labels) for c in cached], [len(c.gate_labels) for c in cached]
-    ids = [c.client_id for c in cached]
+    sizes, ids = [len(c.labels) for c in cached], [c.client_id for c in cached]
     rngs = [np.random.default_rng(c.seed) for c in cached]
-    adapt_state, gate_state = OptimizerState(), OptimizerState()
-    adapt_sgd, gate_sgd = cfg.adapt_sgd(), cfg.gate_sgd()
+    adapt_state, adapt_sgd = OptimizerState(), cfg.adapt_sgd()
+    mode = GATE_INPUT.get(algorithm)
+    if mode is not None:
+        gates = _stack(init_gate(model.spec, mode), len(cached))
+        gate_inputs = np.concatenate([c.gate_inputs for c in cached])
+        global_logits = np.concatenate([c.global_logits for c in cached])
+        gate_labels = np.concatenate([c.gate_labels for c in cached])
+        gate_sizes = [len(c.gate_labels) for c in cached]
+        gate_state, gate_sgd = OptimizerState(), cfg.gate_sgd()
     for _ in range(cfg.epochs):
         sgd_epoch(heads, sizes, cfg.batch_size, adapt_loss, adapt_state, adapt_sgd, rngs, algorithm, ids)
+        if mode is None:
+            continue
         local_logits = np.concatenate([
             classify(model, c.gate_features, classifier={name: a[k] for name, a in heads.items()}).data
             for k, c in enumerate(cached)
@@ -289,9 +273,11 @@ def _run_moe(
         sgd_epoch(gates, gate_sizes, cfg.batch_size, loss_fn, gate_state, gate_sgd, rngs, algorithm, ids)
     clients = []
     for k, c in enumerate(cached):
-        gate = _unstack(gates, k)
-        # The mean mixing weight g over the gate set, from the inputs already at hand.
-        mean_g = float(gate_graph(param_consts(gate), graph.const(c.gate_inputs)).data.mean())
+        gate = mean_g = None
+        if mode is not None:
+            gate = _unstack(gates, k)
+            # The mean mixing weight g over the gate set, from the inputs already at hand.
+            mean_g = float(gate_graph(param_consts(gate), graph.const(c.gate_inputs)).data.mean())
         clients.append(PersonalizedClient(c.client_id, algorithm, _unstack(heads, k), gate, model, mean_g))
     return clients
 
@@ -313,6 +299,7 @@ def personalize_heads(
     """
     if algorithm not in ("pfl_fb", *MOE_ALGORITHMS):
         raise ConfigError(f"algorithm: personalize_heads trains pfl_fb, pfl_mf or pfl_mfe, got {algorithm!r}")
+    check_workers(workers)
     cached = [_cache(model, c, algorithm) for c in clients]
 
     def size(i: int) -> tuple[int, int]:
@@ -324,8 +311,7 @@ def personalize_heads(
     shards = [order[j::n_shards] for j in range(n_shards)]
 
     def train(shard: list[int]) -> list[PersonalizedClient]:
-        stack = [cached[i] for i in shard]
-        return _train_fb(model, stack, cfg) if algorithm == "pfl_fb" else _run_moe(model, stack, cfg, algorithm)
+        return _train_heads(model, [cached[i] for i in shard], cfg, algorithm)
 
     out: list[PersonalizedClient | None] = [None] * len(cached)
     for shard, results in zip(shards, client_map(train, shards, workers)):

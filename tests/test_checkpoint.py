@@ -100,3 +100,18 @@ def test_model_tensors_must_match_the_spec_layout(tmp_path, change, message):
     checkpoint.save_model(path, models.ModelParams(SPEC, tensors))
     with pytest.raises(DataFormatError, match=message):
         checkpoint.load_model(path)
+
+
+@pytest.mark.parametrize("change", [
+    lambda spec: spec.pop("side"),
+    lambda spec: spec.update(depth=3),
+], ids=["missing field", "unknown field"])
+def test_model_spec_must_give_exactly_its_fields(tmp_path, change):
+    spec = {"architecture": "mlp", "channels": 1, "side": 32, "classes": 5, "hidden_sizes": [9]}
+    change(spec)
+    path = tmp_path / "model.ckpt"
+    checkpoint.save_tensors(path, models.build_model(SPEC, seed=5).tensors, {"kind": "model", "spec": spec})
+    with pytest.raises(DataFormatError, match="records the model spec .*needs exactly the fields architecture, "
+                                              "channels, classes, hidden_sizes, side"):
+        checkpoint.load_model(path)
+

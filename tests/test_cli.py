@@ -439,6 +439,22 @@ def test_bad_idx_file_is_an_error_line(tmp_path, capsys, cols, header, message):
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("case", ["non-text config", "missing idx file"])
+def test_unreadable_input_is_an_error_line(tmp_path, capsys, case):
+    config, text = tmp_path / "exp.ini", CONFIG.format(out=tmp_path / "out")
+    if case == "non-text config":
+        config.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
+        message = f"malformed config file {config}: 'utf-8' codec can't decode"
+    else:
+        paths = {key: tmp_path / key for key in ("train_images", "train_labels", "test_images", "test_labels")}
+        idx = "".join(f"{key} = {path}\n" for key, path in paths.items())
+        config.write_text(text.replace("source = synthetic", f"source = idx\n{idx}"))
+        message = f"cannot read IDX file {paths['train_images']}: No such file or directory"
+    assert cli.main(["partition", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
 class TestSelftestCommand:
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0

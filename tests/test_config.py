@@ -71,6 +71,19 @@ def test_per_algorithm_override_section(tmp_path):
     cfg = load_config(path)
     assert cfg.personalization["pfl_mfe"].epochs == 7
     assert cfg.personalization["pfl_mf"].epochs == 200
+    # [personalization] sets every algorithm; an algorithm's own section wins.
+    shared = "\n[personalization]\nepochs = 9\nbatch = 8\n"
+    path = write_config(tmp_path, extra=shared + "\n[personalization.pfl_mfe]\nepochs = 7\n")
+    cfg = load_config(path)
+    assert (cfg.personalization["pfl_mfe"].epochs, cfg.personalization["pfl_mfe"].batch_size) == (7, 8)
+    assert cfg.personalization["pfl_mf"].epochs == cfg.personalization["local"].epochs == 9
+
+
+def test_personalization_local_section_is_rejected(tmp_path):
+    # local trains for [local_baseline] epochs; this section would be ignored.
+    path = write_config(tmp_path, extra="\n[personalization.local]\nepochs = 1\n")
+    with pytest.raises(ConfigError, match=r"personalization\.local: local trains with the \[local_baseline\] keys"):
+        load_config(path)
 
 
 def test_error_messages_carry_field_path(tmp_path):

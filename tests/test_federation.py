@@ -210,6 +210,14 @@ class TestTrainFederated:
         with pytest.raises(UsageError, match="workers: must be positive, got 0"):
             federation.train_federated(train, partition, MLP, fed_cfg(), eval_fn=lambda p: 0.0, workers=0)
 
+    def test_zero_workers_is_refused_before_the_first_eval_even_without_rounds(self):
+        train = tiny_dataset(seed=14, per_class=20)
+        partition = data.dirichlet_partition(train, data.PartitionSpec(6, 1.0, seed=3))
+        evaluated = []
+        with pytest.raises(UsageError, match="workers: must be positive, got 0"):
+            federation.train_federated(train, partition, MLP, fed_cfg(rounds=0), eval_fn=evaluated.append, workers=0)
+        assert evaluated == []
+
 
 class TestClientMap:
     @pytest.mark.parametrize("workers", [1, 3])

@@ -85,7 +85,9 @@ class TestLocalBaseline:
 
     def test_zero_epochs_gives_initial_model(self):
         ds = client_dataset(seed=2)
-        trained = personalization.train_local_baseline(ds, SPEC, seed=5, epochs=0)
+        trained = personalization.train_local_baseline(
+            ds, SPEC, seed=5, epochs=0, sgd=SgdConfig(learning_rate=0.1, momentum=0.9), batch_size=64
+        )
         init = models.build_model(SPEC, seed=5)
         assert all(np.array_equal(trained.tensors[k].data, init.tensors[k].data) for k in init.tensors)
 
@@ -446,6 +448,15 @@ class TestHeadStack:
         glob, _ = global_model()
         with pytest.raises(UsageError, match="workers: must be positive, got 0"):
             personalization.personalize_heads("pfl_fb", glob, self.clients(moe=False), pcfg("pfl_fb"), workers=0)
+
+    def test_zero_workers_is_refused_before_any_extractor_pass(self, monkeypatch):
+        glob, _ = global_model()
+        calls = []
+        extract = personalization.extract_features
+        monkeypatch.setattr(personalization, "extract_features", lambda *args: calls.append(1) or extract(*args))
+        with pytest.raises(UsageError, match="workers: must be positive, got 0"):
+            personalization.personalize_heads("pfl_mf", glob, self.clients(moe=True), pcfg("pfl_mf"), workers=0)
+        assert calls == []
 
     @pytest.mark.parametrize("algorithm", ["pfl_fb", "pfl_mf", "pfl_mfe"])
     def test_worker_count_does_not_change_any_client(self, algorithm):
