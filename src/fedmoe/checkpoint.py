@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 from dataclasses import fields
 
@@ -54,13 +56,23 @@ def save_tensors(path, tensors: dict[str, Tensor], manifest: dict) -> str:
 
 
 def load_tensors(path) -> tuple[dict[str, Tensor], dict]:
+    """Read a named-tensor container. Any malformed byte raises a
+    DataFormatError, with the byte offset where one is known."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
         def read(n, what):
             offset = f.tell()
-            buf = f.read(n)
-            if len(buf) != n:
+            if n > size - offset:
                 raise DataFormatError(f"truncated checkpoint while reading {what}", offset=offset)
-            return buf
+            return f.read(n)
+
+        def text(n, what):
+            offset = f.tell()
+            try:
+                return read(n, what).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise DataFormatError(f"checkpoint {what} is not UTF-8", offset=offset + e.start) from None
 
         if read(4, "magic") != MAGIC:
             raise DataFormatError(f"not a checkpoint file: {path}", offset=0)
@@ -68,20 +80,38 @@ def load_tensors(path) -> tuple[dict[str, Tensor], dict]:
         if version != VERSION:
             raise DataFormatError(f"unsupported checkpoint version {version}", offset=4)
         (manifest_len,) = struct.unpack("<I", read(4, "manifest length"))
-        manifest = json.loads(read(manifest_len, "manifest"))
+        start = f.tell()
+        blob = text(manifest_len, "manifest")
+        try:
+            manifest = json.loads(blob)
+        except json.JSONDecodeError as e:
+            offset = start + len(blob[: e.pos].encode("utf-8"))
+            raise DataFormatError(f"checkpoint manifest is not JSON: {e.msg}", offset=offset) from None
+        except RecursionError:
+            raise DataFormatError("checkpoint manifest nests too deeply to read", offset=start) from None
+        entries = manifest.get("tensors", []) if isinstance(manifest, dict) else None
+        if not isinstance(entries, list) or not all(
+            isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], list) for e in entries
+        ):
+            raise DataFormatError("checkpoint manifest is not an object listing [name, shape] tensor pairs",
+                                  offset=start)
         tensors: dict[str, Tensor] = {}
-        for name, shape in manifest.get("tensors", []):
+        for name, shape in entries:
             (name_len,) = struct.unpack("<H", read(2, "tensor name length"))
-            stored = read(name_len, "tensor name").decode("utf-8")
+            stored = text(name_len, "tensor name")
             if stored != name:
                 raise DataFormatError(f"tensor order mismatch: manifest says {name!r}, file has {stored!r}")
             (ndim,) = struct.unpack("<B", read(1, "tensor rank"))
             dims = struct.unpack(f"<{ndim}I", read(4 * ndim, "tensor dims"))
-            if list(dims) != list(shape):
+            if list(dims) != shape:
                 raise DataFormatError(f"shape mismatch for {name!r}: manifest {shape}, file {list(dims)}")
-            count = int(np.prod(dims))
-            raw = read(8 * count, f"tensor {name!r} payload")
-            tensors[name] = Tensor._wrap(np.frombuffer(raw, dtype="<f8").reshape(dims))
+            start = f.tell()
+            values = np.frombuffer(read(8 * math.prod(dims), f"tensor {name!r} payload"), dtype="<f8")
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise DataFormatError(f"tensor {name!r} holds a non-finite value",
+                                      offset=start + 8 * int(np.argmin(finite)))
+            tensors[name] = Tensor._wrap(values.reshape(dims))
         if f.read(1):
             raise DataFormatError("trailing bytes after last tensor", offset=f.tell() - 1)
     return tensors, manifest
@@ -102,6 +132,12 @@ def load_model(path) -> tuple[ModelParams, dict]:
     if not isinstance(stored, dict) or sorted(stored) != names:
         raise DataFormatError(f"checkpoint {path} records the model spec {stored!r}; "
                               f"it needs exactly the fields {', '.join(names)}")
+    sizes = [stored["channels"], stored["side"], stored["classes"]]
+    if not isinstance(stored["architecture"], str) or not isinstance(stored["hidden_sizes"], list) or not all(
+        type(v) is int for v in sizes + stored["hidden_sizes"]
+    ):
+        raise DataFormatError(f"checkpoint {path} records the model spec {stored!r}; its architecture must be "
+                              f"a string, hidden_sizes a list of integers and the other fields integers")
     spec = ModelSpec(**stored)
     layout = param_shapes(spec)
     for name in [*layout, *(name for name in tensors if name not in layout)]:

@@ -255,15 +255,14 @@ def make_synthetic(
     n = classes * per_class
     labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
     grid = np.arange(side, dtype=np.float64)
-    yy = grid[:, None]
-    xx = grid[None, :]
-    features = np.empty((n, channels, side, side))
-    for i, label in enumerate(labels):
-        offsets = noise_rng.normal(scale=center_jitter, size=(channels, 2))
-        for ch in range(channels):
-            cy, cx = centers[label, ch] + offsets[ch]
-            blob = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * blob_sigma**2))
-            features[i, ch] = blob
+    # One draw for every example's offsets, in the order a per-example loop
+    # draws them, then every blob at once, elementwise as that loop did.
+    blob_centers = centers[labels] + noise_rng.normal(scale=center_jitter, size=(n, channels, 2))
+    cy, cx = blob_centers[..., 0, None, None], blob_centers[..., 1, None, None]
+    features = (grid[:, None] - cy) ** 2 + (grid[None, :] - cx) ** 2
+    np.negative(features, out=features)
+    features /= 2.0 * blob_sigma**2
+    np.exp(features, out=features)
     features += noise_rng.normal(scale=noise, size=features.shape)
     np.clip(features, 0.0, 1.0, out=features)
 

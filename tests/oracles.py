@@ -134,6 +134,33 @@ def cross_entropy_per_sample(logits, labels):
     return total / len(labels)
 
 
+def make_synthetic_loops(classes, per_class, channels=1, seed=0, noise=0.25, center_jitter=2.0,
+                         blob_sigma=5.0, side=32, pattern_seed=None):
+    """data.make_synthetic's (features, labels) with one offset draw and one
+    blob rendering per example and channel."""
+    pattern_rng = np.random.default_rng(
+        np.random.SeedSequence(seed if pattern_seed is None else pattern_seed, spawn_key=(0,))
+    )
+    noise_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    margin = side / 4.0
+    centers = pattern_rng.uniform(margin, side - margin, size=(classes, channels, 2))
+    n = classes * per_class
+    labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
+    grid = np.arange(side, dtype=np.float64)
+    yy = grid[:, None]
+    xx = grid[None, :]
+    features = np.empty((n, channels, side, side))
+    for i, label in enumerate(labels):
+        offsets = noise_rng.normal(scale=center_jitter, size=(channels, 2))
+        for ch in range(channels):
+            cy, cx = centers[label, ch] + offsets[ch]
+            features[i, ch] = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * blob_sigma**2))
+    features += noise_rng.normal(scale=noise, size=features.shape)
+    np.clip(features, 0.0, 1.0, out=features)
+    order = noise_rng.permutation(n)
+    return features[order], labels[order]
+
+
 def finite_difference(f, arrays, step=1e-5):
     """Central finite-difference gradients of scalar f w.r.t. each array."""
     grads = []

@@ -1,10 +1,11 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 
 from fedmoe import checkpoint, models
-from fedmoe.errors import DataFormatError
+from fedmoe.errors import DataFormatError, FedmoeError
 from fedmoe.numerics import Tensor
 
 
@@ -115,3 +116,54 @@ def test_model_spec_must_give_exactly_its_fields(tmp_path, change):
                                               "channels, classes, hidden_sizes, side"):
         checkpoint.load_model(path)
 
+
+@pytest.mark.parametrize("at, blob, message", [
+    (10, b"{not json", "manifest is not JSON"),  # the header is 9 bytes; "n" is manifest byte 1
+    (11, b'{"\xff": 1}', "manifest is not UTF-8"),
+    (9, b"[1, 2]", r"not an object listing \[name, shape\]"),
+    (9, b"[" * 100_000, "nests too deeply"),
+], ids=["not JSON", "not UTF-8", "not an object", "nested too deeply"])
+def test_unreadable_manifest_is_a_typed_error_at_its_offset(tmp_path, at, blob, message):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(b"FMCK" + struct.pack("<BI", 1, len(blob)) + blob)
+    with pytest.raises(DataFormatError, match=f"{message}.*at byte offset {at}"):
+        checkpoint.load_model(path)
+
+
+def test_non_finite_payload_is_a_typed_error_at_its_offset(tmp_path):
+    path = tmp_path / "nan.ckpt"
+    checkpoint.save_tensors(path, {"x": Tensor(np.zeros(3))}, {"kind": "raw"})
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataFormatError, match=f"non-finite.*at byte offset {len(raw) - 8}"):
+        checkpoint.load_tensors(path)
+
+
+def test_model_spec_field_of_the_wrong_type_is_a_typed_error(tmp_path):
+    spec = {"architecture": "mlp", "channels": "1", "side": 32, "classes": 5, "hidden_sizes": [9]}
+    path = tmp_path / "model.ckpt"
+    checkpoint.save_tensors(path, models.build_model(SPEC, seed=5).tensors, {"kind": "model", "spec": spec})
+    with pytest.raises(DataFormatError, match="other fields integers"):
+        checkpoint.load_model(path)
+
+
+def test_every_truncation_and_seeded_byte_substitution_loads_or_raises_a_typed_error(tmp_path):
+    spec = models.ModelSpec("mlp", channels=1, side=4, classes=3, hidden_sizes=(5,))
+    path = tmp_path / "model.ckpt"
+    checkpoint.save_model(path, models.build_model(spec, seed=8), extra={"round": 2, "accuracy": 0.5})
+    good = path.read_bytes()
+    rng = np.random.default_rng(20261019)
+    mutants = [good[:n] for n in range(len(good))]
+    for at, byte in zip(rng.integers(0, len(good), size=3000), rng.integers(0, 256, size=3000)):
+        mutants.append(good[:at] + bytes([byte]) + good[at + 1:])
+    escapes = []
+    for i, blob in enumerate(mutants):
+        path.write_bytes(blob)
+        try:
+            checkpoint.load_model(path)
+        except FedmoeError:
+            pass
+        except Exception as e:  # noqa: BLE001 - any other type is the failure under test
+            escapes.append(f"mutant {i}: {type(e).__name__}: {e}")
+    assert not escapes, f"{len(escapes)} of {len(mutants)} escaped, first: {escapes[:3]}"

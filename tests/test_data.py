@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+import oracles
 from fedmoe import data
 from fedmoe.errors import ConfigError, DataFormatError, DegenerateClientError
 from fedmoe.numerics import OptimizerState, SgdConfig, Tensor, graph, sgd_step
@@ -242,6 +243,19 @@ class TestSynthetic:
         ds = data.make_synthetic(classes=2, per_class=50, seed=0)
         assert len(ds) == 100
         assert ds.class_counts().tolist() == [50, 50]
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(classes=10, per_class=120, seed=11, noise=0.3, center_jitter=2.0),  # a desk_mlp training set
+        dict(classes=10, per_class=40, seed=11 + 1_000_003, pattern_seed=11, noise=0.3, center_jitter=2.0),
+        dict(classes=10, per_class=30, seed=12, noise=0.1, center_jitter=1.0),  # a lenet5 training set
+        dict(classes=4, per_class=5, seed=13, channels=3),
+        dict(classes=6, per_class=1, seed=14, side=28),
+    ], ids=["desk train", "desk test", "lenet5", "channels=3", "per_class=1 side=28"])
+    def test_equals_the_per_example_loop_byte_for_byte(self, kwargs):
+        features, labels = oracles.make_synthetic_loops(**kwargs)
+        ds = data.make_synthetic(**kwargs)
+        assert ds.features.data.tobytes() == features.tobytes()
+        assert np.array_equal(ds.labels, labels)
 
     def test_same_seed_identical_bytes(self):
         a = data.make_synthetic(classes=3, per_class=10, seed=5)

@@ -112,39 +112,54 @@ class TestConvGradientsAtLenetShapes:
         assert np.allclose(kernels.conv2d_kernel_grad(x, dy, k.shape[2:]), want, rtol=0, atol=1e-12)
 
 
+def batch_innermost(a):
+    """The values of ``a`` (N, C, H, W) stored as a (C, H, W, N) buffer, the
+    memory order of the model's activations, seen through an NCHW view."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
 def nchw_col2im_input_grad(dy, k):
-    """conv2d_input_grad as it was before its col2im went channel-major: the
-    same GEMM, each offset's slab transposed to NCHW before it is added."""
+    """conv2d_input_grad with its scatter in NCHW memory: the same patch-space
+    GEMM, each offset's slab transposed to NCHW before it is added."""
     n, f, oh, ow = dy.shape
     c, kh, kw = k.shape[1:]
-    cols = (k.reshape(f, -1).T @ dy.transpose(1, 0, 2, 3).reshape(f, -1)).reshape(c, kh, kw, n, oh, ow)
+    cols = (k.reshape(f, -1).T @ dy.transpose(1, 2, 3, 0).reshape(f, -1)).reshape(c, kh, kw, oh, ow, n)
     dx = np.zeros((n, c, oh + kh - 1, ow + kw - 1))
     for p in range(kh):
         for q in range(kw):
-            dx[:, :, p : p + oh, q : q + ow] += cols[:, p, q].transpose(1, 0, 2, 3)
+            dx[:, :, p : p + oh, q : q + ow] += cols[:, p, q].transpose(3, 0, 1, 2)
     return dx
 
 
 def test_channel_major_input_grad_equals_the_nchw_col2im_at_every_batch_size():
-    # A patch-major GEMM changed the last bit at odd batch sizes; this scatter must not.
+    # The batch-innermost scatter adds the same values in the same order as
+    # an NCHW one, so its memory order must not change a bit.
     rng = np.random.default_rng(49)
     k = rng.normal(size=LENET_CONVS["conv2"][1])
-    dy = rng.normal(size=(130, 16, 10, 10))
+    dy = batch_innermost(rng.normal(size=(130, 16, 10, 10)))
     for n in range(1, 131):
         got = kernels.conv2d_input_grad(dy[:n], k)
         assert got.shape == (n, 6, 14, 14)
         assert np.array_equal(got, nchw_col2im_input_grad(dy[:n], k)), f"batch {n}"
 
 
+def patch_matrix(x, kh, kw):
+    """Rows (c, p, q), columns (i, j, n), from one slice per kernel offset."""
+    n, c, h, w = x.shape
+    oh, ow = h - kh + 1, w - kw + 1
+    slabs = [x[:, :, p : p + oh, q : q + ow] for p in range(kh) for q in range(kw)]  # each (N, C, oh, ow)
+    return np.stack(slabs, axis=1).transpose(2, 1, 3, 4, 0).reshape(c * kh * kw, oh * ow * n)
+
+
 class TestBlockedInference:
-    """A constant-kernel conv2d runs the batch in blocks of kernels.CONV_BLOCK
-    images, a remainder joining the last block; the output must not change."""
+    """A constant-kernel conv2d runs the output rows in blocks over the whole
+    batch, a remainder joining the last block; the output must not change."""
 
     @pytest.fixture(scope="class", params=sorted(LENET_CONVS))
     def layer(self, request):
         x_shape, k_shape = LENET_CONVS[request.param]
         rng = np.random.default_rng(47)
-        x = rng.normal(size=(400,) + x_shape[1:])
+        x = batch_innermost(rng.normal(size=(400,) + x_shape[1:]))
         return x, rng.normal(size=k_shape), rng.normal(size=k_shape[0])
 
     def test_equals_one_gemm_at_every_batch_size(self, layer):
@@ -152,20 +167,20 @@ class TestBlockedInference:
         f, _, kh, kw = k.shape
         side = x.shape[2] - kh + 1
         for n in [*range(1, 131), 400]:
-            one_gemm = (k.reshape(f, -1) @ kernels._im2col(x[:n], (kh, kw))).reshape(f, n, side, side)
-            want = one_gemm.transpose(1, 0, 2, 3) + b[None, :, None, None]
+            one_gemm = (k.reshape(f, -1) @ kernels._im2col(x[:n], (kh, kw))).reshape(f, side, side, n)
+            want = one_gemm.transpose(3, 0, 1, 2) + b[None, :, None, None]
             assert np.array_equal(kernels.conv2d(x[:n], k, b), want), f"batch {n}"
 
     def test_kept_patch_matrix_path_gives_the_same_output(self, layer):
         x, k, b = layer
         out, cols = kernels.conv2d(x[:97], k, b, keep_cols=True)
         assert np.array_equal(out, kernels.conv2d(x[:97], k, b))
-        assert np.array_equal(cols, kernels._im2col(x[:97], k.shape[2:]))
+        assert np.array_equal(cols, patch_matrix(x[:97], *k.shape[2:]))
 
     def test_images_of_every_block_match_the_loop_oracle(self, layer):
         x, k, b = layer
-        out = kernels.conv2d(x[:97], k, b)  # blocks 0-31, 32-63, 64-96
-        rows = [31, 32, 96]  # the last image of the first block, the first of the second, the last
+        out = kernels.conv2d(x[:97], k, b)  # every image spans every block of output rows
+        rows = [31, 32, 96]
         assert np.allclose(out[rows], oracles.conv2d_loops(x[rows], k, b), rtol=0, atol=1e-12)
 
     def test_kernel_grad_from_the_kept_patch_matrix_is_unchanged(self, layer):
@@ -174,6 +189,72 @@ class TestBlockedInference:
         dy = np.random.default_rng(48).normal(size=kernels.conv2d(x[:10], k, b).shape)
         assert np.array_equal(kernels.conv2d_kernel_grad(x[:10], dy, k.shape[2:], cols),
                               kernels.conv2d_kernel_grad(x[:10], dy, k.shape[2:]))
+
+
+def layer_arrays(layer, batch, seed):
+    """Conv input, kernel, bias, output gradient, pool input (few distinct
+    values, so windows tie) and pooled gradient at a LeNet-5 layer's shapes."""
+    x_shape, k_shape = LENET_CONVS[layer]
+    rng = np.random.default_rng(seed)
+    side = x_shape[2] - k_shape[2] + 1
+    out_shape = (batch, k_shape[0], side, side)
+    return (rng.normal(size=(batch,) + x_shape[1:]), rng.normal(size=k_shape), rng.normal(size=k_shape[0]),
+            rng.normal(size=out_shape), rng.integers(0, 3, size=out_shape).astype(np.float64),
+            rng.normal(size=out_shape[:2] + (side // 2, side // 2)))
+
+
+def kernel_results(x, k, b, dy, a, dp):
+    """Every conv and pool kernel's output on one set of inputs."""
+    khw = k.shape[2:]
+    out, cols = kernels.conv2d(x, k, b, keep_cols=True)
+    pooled, routing = kernels.max_pool2x2(a)
+    return {
+        "conv2d": kernels.conv2d(x, k, b),
+        "conv2d keep_cols": out,
+        "patch matrix": cols,
+        "conv2d_input_grad": kernels.conv2d_input_grad(dy, k),
+        "conv2d_kernel_grad": kernels.conv2d_kernel_grad(x, dy, khw),
+        "conv2d_kernel_grad from cols": kernels.conv2d_kernel_grad(x, dy, khw, cols),
+        "max_pool2x2": pooled,
+        "routing": routing,
+        "max_pool2x2 without routing": kernels.max_pool2x2(a, with_routing=False)[0],
+        "max_pool2x2_grad": kernels.max_pool2x2_grad(dp, routing),
+    }
+
+
+@pytest.mark.parametrize("batch", [1, 6, 7, 10, 61, 64])
+@pytest.mark.parametrize("layer", sorted(LENET_CONVS))
+def test_kernel_results_do_not_depend_on_the_input_memory_order(layer, batch):
+    # bench/checks.py checks the kernels on contiguous NCHW arrays; the model
+    # feeds them batch-innermost ones. Both, and a strided view, must agree
+    # bit for bit.
+    x, k, b, dy, a, dp = layer_arrays(layer, batch, seed=batch)
+    want = kernel_results(x, k, b, dy, a, dp)
+    for order, relayout in (("batch-innermost", batch_innermost),
+                            ("every other image", lambda v: np.repeat(v, 2, axis=0)[::2])):
+        got = kernel_results(relayout(x), k, b, relayout(dy), relayout(a), relayout(dp))
+        for name in want:
+            assert np.array_equal(got[name], want[name]), f"{name}, {order} input"
+
+
+@pytest.mark.parametrize("batch", [7, 61])
+@pytest.mark.parametrize("layer", sorted(LENET_CONVS))
+def test_kernels_on_batch_innermost_inputs_match_the_loop_oracles(layer, batch):
+    x, k, b, dy, a, dp = layer_arrays(layer, batch, seed=100 + batch)
+    x, dy, a, dp = (batch_innermost(v) for v in (x, dy, a, dp))
+    rows = [0, batch // 2, batch - 1]  # the oracles are slow; each image's results depend on it alone
+    assert np.allclose(kernels.conv2d(x, k, b)[rows], oracles.conv2d_loops(x[rows], k, b), rtol=0, atol=1e-12)
+    assert np.allclose(kernels.conv2d_input_grad(dy, k)[rows], oracles.conv2d_input_grad_loops(dy[rows], k),
+                       rtol=0, atol=1e-12)
+    # The kernel gradient sums over the batch: give the other images a zero gradient.
+    only = np.zeros_like(dy)
+    only[rows] = dy[rows]
+    assert np.allclose(kernels.conv2d_kernel_grad(x, batch_innermost(only), k.shape[2:]),
+                       oracles.conv2d_kernel_grad_loops(x[rows], dy[rows], *k.shape[2:]), rtol=0, atol=1e-12)
+    pooled, routing = kernels.max_pool2x2(a)
+    want_pooled, want_routing = oracles.max_pool2x2_loops(a[rows])
+    assert np.array_equal(pooled[rows], want_pooled) and np.array_equal(routing[rows], want_routing)
+    assert np.array_equal(kernels.max_pool2x2_grad(dp, routing)[rows], oracles.max_pool2x2_grad_loops(a[rows], dp[rows]))
 
 
 class TestMaxPoolRouting:
