@@ -101,6 +101,8 @@ def load_partition(cfg: ExperimentConfig, train: data.LabeledDataset) -> data.Cl
             if owner[i] >= 0:
                 raise invalid(f"assigns example {i} to both client {owner[i]} and client {cid}")
             owner[i] = cid
+    if -1 in owner:
+        raise invalid(f"assigns example {owner.index(-1)} to no client")
     return data.ClientPartition(tuple(tuple(c) for c in clients))
 
 
@@ -398,11 +400,12 @@ def cmd_report(metric_paths: list[str], out_dir: Path) -> int:
 
 
 def cmd_selftest() -> int:
-    """Quick built-in property checks; exits nonzero if any fails."""
+    """Checks of what this numpy and BLAS build computes: a gradient against
+    finite differences, the conv and pool kernels, the mixing boundaries and
+    gate, and a checkpoint round trip. Exits nonzero if any fails."""
     import tempfile
 
-    from .numerics import SgdConfig, graph, kernels
-    from .numerics.optim import OptimizerState, sgd_step
+    from .numerics import graph, kernels
 
     failures = 0
 
@@ -469,15 +472,6 @@ def cmd_selftest() -> int:
     check("max_pool2x2_grad routes each gradient to its window maximum",
           np.array_equal(kernels.max_pool2x2_grad(dp, routing), (dy == up(ref)) * up(dp)))
 
-    # Partition properties.
-    ds = data.make_synthetic(classes=5, per_class=20, seed=1, side=8)
-    part = data.dirichlet_partition(ds, data.PartitionSpec(8, 0.5, seed=2))
-    flat = sorted(i for c in part.clients for i in c)
-    check("partition is a disjoint cover", flat == list(range(len(ds))))
-    totals = sum(np.bincount(ds.labels[list(c)], minlength=5) for c in part.clients)
-    check("per-class totals conserved", np.array_equal(totals, ds.class_counts()))
-    check("all clients nonempty", min(part.sizes()) >= 1)
-
     # Mixing boundaries, through the mixture-inference path, and the gate
     # forward against numpy.
     spec = models.ModelSpec("mlp", channels=1, side=8, classes=4, hidden_sizes=(6,))
@@ -498,11 +492,6 @@ def cmd_selftest() -> int:
     want = 1.0 / (1.0 + np.exp(-(v @ gate["weight"].data + gate["bias"].data)))[:, 0]
     err = float(np.abs(g - want).max())
     check(f"gate_graph matches sigmoid(v @ w + b) (max abs err {err:.2e})", err < 1e-12)
-
-    # Plain SGD equality.
-    w, g = rng.normal(size=5), rng.normal(size=5)
-    stepped = sgd_step({"w": w.copy()}, {"w": g}, OptimizerState(), SgdConfig(learning_rate=0.1))
-    check("sgd without momentum equals param - lr*grad", np.array_equal(stepped["w"], w - 0.1 * g))
 
     # Checkpoint round trip.
     spec = models.ModelSpec("mlp", channels=1, classes=3, hidden_sizes=(6,))

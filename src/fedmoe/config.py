@@ -11,7 +11,7 @@ before any compute starts.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .data import PartitionSpec
@@ -81,6 +81,20 @@ class DatasetConfig:
     center_jitter: float
     idx_paths: dict[str, str] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.source not in ("synthetic", "idx"):
+            raise ConfigError(f"source: expected synthetic or idx, got {self.source!r}")
+        if self.classes < 2:
+            raise ConfigError(f"classes: need at least 2, got {self.classes}")
+        if self.channels < 1:
+            raise ConfigError(f"channels: must be positive, got {self.channels}")
+        if self.source == "synthetic" and (self.per_class < 1 or self.test_per_class < 1):
+            raise ConfigError("per_class: synthetic datasets need at least 1 example per class")
+        for name in ("noise", "center_jitter"):
+            value = getattr(self, name)
+            if not 0.0 <= value < float("inf"):
+                raise ConfigError(f"{name}: must be finite and nonnegative, got {value}")
+
 
 @dataclass(frozen=True)
 class LocalBaselineConfig:
@@ -107,22 +121,9 @@ class ExperimentConfig:
             "seed": self.seed,
             "workers": self.workers,
             "out_dir": str(self.out_dir),
-            "dataset": {
-                "source": self.dataset.source,
-                "classes": self.dataset.classes,
-                "channels": self.dataset.channels,
-                "per_class": self.dataset.per_class,
-                "test_per_class": self.dataset.test_per_class,
-                "noise": self.dataset.noise,
-                "center_jitter": self.dataset.center_jitter,
-                "idx_paths": dict(self.dataset.idx_paths),
-            },
+            "dataset": asdict(self.dataset),
             "model": self.model.to_json(),
-            "partition": {
-                "clients": self.partition.clients,
-                "concentration": self.partition.concentration,
-                "seed": self.partition.seed,
-            },
+            "partition": asdict(self.partition),
             "federation": {
                 "rounds": self.federation.rounds,
                 "participation": self.federation.participation,
@@ -145,13 +146,7 @@ class ExperimentConfig:
                 "batch": self.local_baseline.batch,
             },
             "personalization": {
-                alg: {
-                    "epochs": cfg.epochs,
-                    "adapt_lr": cfg.adapt_lr,
-                    "gate_lr": cfg.gate_lr,
-                    "batch_size": cfg.batch_size,
-                    "split_ratio": cfg.split_ratio,
-                }
+                alg: {key: value for key, value in asdict(cfg).items() if key != "algorithm"}
                 for alg, cfg in self.personalization.items()
             },
         }
@@ -244,8 +239,6 @@ def load_config(path, seed_override: int | None = None, workers_override: int | 
     ds = _Reader(parser, "dataset")
     ds.check_known_keys()
     source = ds.str("source")
-    if source not in ("synthetic", "idx"):
-        raise ConfigError(f"dataset.source: expected synthetic or idx, got {source!r}")
     idx_paths = {}
     if source == "idx":
         for key in ("train_images", "train_labels", "test_images", "test_labels"):
@@ -253,25 +246,18 @@ def load_config(path, seed_override: int | None = None, workers_override: int | 
             if not value:
                 raise ConfigError(f"dataset.{key}: required when source is idx")
             idx_paths[key] = value
-    classes = ds.int("classes")
-    if classes < 2:
-        raise ConfigError(f"dataset.classes: need at least 2, got {classes}")
-    per_class = ds.int("per_class")
-    test_per_class = ds.int("test_per_class")
-    if source == "synthetic" and (per_class < 1 or test_per_class < 1):
-        raise ConfigError("dataset.per_class: synthetic datasets need at least 1 example per class")
-    noise = ds.float("noise")
-    if noise < 0:
-        raise ConfigError(f"dataset.noise: must be nonnegative, got {noise}")
-    dataset = DatasetConfig(
-        source=source,
-        classes=classes,
-        channels=ds.int("channels"),
-        per_class=per_class,
-        test_per_class=test_per_class,
-        noise=noise,
-        center_jitter=ds.float("center_jitter"),
-        idx_paths=idx_paths,
+    dataset = _wrap(
+        "dataset",
+        lambda: DatasetConfig(
+            source=source,
+            classes=ds.int("classes"),
+            channels=ds.int("channels"),
+            per_class=ds.int("per_class"),
+            test_per_class=ds.int("test_per_class"),
+            noise=ds.float("noise"),
+            center_jitter=ds.float("center_jitter"),
+            idx_paths=idx_paths,
+        ),
     )
 
     model = _Reader(parser, "model")

@@ -71,8 +71,8 @@ class PartitionSpec:
     def __post_init__(self):
         if self.clients < 1:
             raise ConfigError(f"clients: must be at least 1, got {self.clients}")
-        if not self.concentration > 0:
-            raise ConfigError(f"concentration: must be positive, got {self.concentration}")
+        if not 0.0 < self.concentration < np.inf:
+            raise ConfigError(f"concentration: must be positive and finite, got {self.concentration}")
 
 
 @dataclass(frozen=True)

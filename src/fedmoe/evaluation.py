@@ -55,8 +55,9 @@ def global_test(predictor: Predictor, test_set: LabeledDataset) -> float:
 def per_class_accuracy(predictor: Predictor, test_set: LabeledDataset) -> np.ndarray:
     """Accuracy restricted to each class's test subset; NaN for absent classes.
 
-    Computing this once per predictor and reusing it across clients is
-    bit-identical to recomputing inside every local_test call.
+    A predictor's local test for any client is
+    ``local_test_from_per_class(per_class_accuracy(predictor, test_set), ratios)``,
+    so one call serves every client.
     """
     return per_class_accuracy_from_predictions(predict_labels(predictor, test_set), test_set)
 
@@ -70,7 +71,8 @@ def per_class_accuracy_from_predictions(pred: np.ndarray, test_set: LabeledDatas
 
 
 def local_test_from_per_class(per_class_acc: np.ndarray, ratios: np.ndarray) -> float:
-    """Weighted local test given a precomputed per-class accuracy vector."""
+    """The local test: per-class accuracy on the global test set, weighted by
+    a client's training-set class ratios."""
     ratios = np.asarray(ratios, dtype=np.float64)
     active = ratios > 0
     if np.isnan(per_class_acc[active]).any():
@@ -80,11 +82,6 @@ def local_test_from_per_class(per_class_acc: np.ndarray, ratios: np.ndarray) -> 
     # 27/4/5/10 of 46 do), so a client whose classes are all predicted right
     # would score above 1.
     return min(float(np.sum(ratios[active] * per_class_acc[active])), 1.0)
-
-
-def local_test(predictor: Predictor, test_set: LabeledDataset, ratios: np.ndarray) -> float:
-    """Per-class accuracy on the global test set, reweighted by training ratios."""
-    return local_test_from_per_class(per_class_accuracy(predictor, test_set), ratios)
 
 
 @dataclass(frozen=True)
@@ -150,7 +147,7 @@ def _metrics_record(path, line: int, row: dict) -> MetricsRecord:
     return MetricsRecord(
         run_id=read("run_id"),
         algorithm=read("algorithm"),
-        client_id=int(client_id) if client_id.isdigit() else client_id,
+        client_id=int(client_id) if client_id.isascii() and client_id.isdigit() else client_id,
         local_acc=read("local_acc", float),
         global_acc=read("global_acc", float),
         seed=read("seed", int),

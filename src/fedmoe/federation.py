@@ -205,51 +205,39 @@ def sgd_epoch(
 
 
 def sgd_epochs(
-    params: dict[str, Tensor],
-    spec: ModelSpec,
-    features: np.ndarray,
-    labels: np.ndarray,
+    model: ModelParams,
+    data: LabeledDataset,
     epochs: int,
     batch_size: int,
     cfg: SgdConfig,
     rng: np.random.Generator,
     trainer: str = "sgd",
     client_id: int = 0,
-) -> dict[str, Tensor]:
-    """Full-model minibatch SGD on the cross-entropy of (features, labels),
-    as a stack of one client."""
-    def loss_fn(leaves, batch):
-        return graph.cross_entropy(forward_graph(spec, leaves, graph.const(features[batch])), labels[batch])
+) -> ModelParams:
+    """Full-model minibatch SGD on the cross-entropy of a dataset, as a stack
+    of one client: fedavg's local updates, ``local`` and ``pfl_ft``."""
+    features, labels = data.features.data, data.labels
 
-    stack = {name: t.data[None].copy() for name, t in params.items()}
+    def loss_fn(leaves, batch):
+        return graph.cross_entropy(forward_graph(model.spec, leaves, graph.const(features[batch])), labels[batch])
+
+    stack = {name: t.data[None].copy() for name, t in model.tensors.items()}
     state = OptimizerState()
     for _ in range(epochs):
         sgd_epoch(stack, [len(labels)], batch_size, loss_fn, state, cfg, [rng], trainer, [client_id])
-    return {name: Tensor._wrap(p[0]) for name, p in stack.items()}
+    return ModelParams(model.spec, {name: Tensor._wrap(p[0]) for name, p in stack.items()})
 
 
 def local_update(
     params: ModelParams, client_data: LabeledDataset, cfg: FedConfig, seed: int,
     trainer: str = "fedavg", client_id: int = 0,
-) -> tuple[ModelParams, int]:
+) -> ModelParams:
     """One client's contribution: local_epochs of minibatch SGD from the
-    delivered global parameters. Returns (updated params, example count)."""
+    delivered global parameters."""
     if len(client_data) == 0:
         raise ConfigError("local_update: client dataset is empty")
-    rng = np.random.default_rng(seed)
-    trained = sgd_epochs(
-        params.tensors,
-        params.spec,
-        client_data.features.data,
-        client_data.labels,
-        cfg.local_epochs,
-        cfg.local_batch,
-        cfg.sgd,
-        rng,
-        trainer,
-        client_id,
-    )
-    return ModelParams(params.spec, trained), len(client_data)
+    return sgd_epochs(params, client_data, cfg.local_epochs, cfg.local_batch, cfg.sgd,
+                      np.random.default_rng(seed), trainer, client_id)
 
 
 def aggregate(updates: Sequence[ClientUpdate], weighting: str = "sample") -> ModelParams:
@@ -314,11 +302,10 @@ def train_federated(
         chosen = sample_clients(len(partition), cfg.participation, round_index, cfg.seed)
 
         def run_client(client_id: int) -> ClientUpdate:
-            updated, count = local_update(
-                params, client_data[client_id], cfg, derive_seed(cfg.seed, round_index, client_id),
-                f"fedavg round {round_index}", client_id,
-            )
-            return ClientUpdate(client_id, updated, count)
+            data = client_data[client_id]
+            updated = local_update(params, data, cfg, derive_seed(cfg.seed, round_index, client_id),
+                                   f"fedavg round {round_index}", client_id)
+            return ClientUpdate(client_id, updated, len(data))
 
         params = aggregate(client_map(run_client, chosen, workers), cfg.weighting)
 

@@ -38,6 +38,8 @@ class ModelSpec:
         if self.architecture == "mlp" and not self.hidden_sizes:
             raise ConfigError("hidden_sizes: mlp needs at least one hidden layer")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+        if min(self.hidden_sizes, default=1) < 1:
+            raise ConfigError(f"hidden_sizes: every width must be positive, got {list(self.hidden_sizes)}")
 
     def to_json(self) -> dict:
         """The spec as plain JSON data, as checkpoints and run manifests record it."""

@@ -18,12 +18,12 @@ class SgdConfig:
     lr_decay_every: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate: must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < float("inf"):
+            raise ConfigError(f"learning_rate: must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum: must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay: must be nonnegative, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < float("inf"):
+            raise ConfigError(f"weight_decay: must be finite and nonnegative, got {self.weight_decay}")
         if not 0.0 < self.lr_decay_factor <= 1.0:
             raise ConfigError(f"lr_decay_factor: must lie in (0, 1], got {self.lr_decay_factor}")
         if self.lr_decay_every < 0:

@@ -49,14 +49,17 @@ MOE_ALGORITHMS = tuple(GATE_INPUT)
 
 @dataclass(frozen=True)
 class PersonalizationConfig:
+    """One algorithm's personalization settings; ``config.DEFAULTS`` holds
+    the reference values."""
+
     algorithm: str
-    epochs: int = 200
-    adapt_lr: float = 0.001
-    gate_lr: float = 0.001
-    batch_size: int = 64
-    split_ratio: float = 0.8
-    adapt_momentum: float = 0.9
-    adapt_weight_decay: float = 0.0005
+    epochs: int
+    adapt_lr: float
+    gate_lr: float
+    batch_size: int
+    split_ratio: float
+    adapt_momentum: float
+    adapt_weight_decay: float
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -64,14 +67,18 @@ class PersonalizationConfig:
         min_epochs = 0 if self.algorithm == "local" else 1
         if self.epochs < min_epochs:
             raise ConfigError(f"epochs: need at least {min_epochs} for {self.algorithm}, got {self.epochs}")
-        if not self.adapt_lr > 0:
-            raise ConfigError(f"adapt_lr: must be positive, got {self.adapt_lr}")
-        if not self.gate_lr > 0:
-            raise ConfigError(f"gate_lr: must be positive, got {self.gate_lr}")
+        for name in ("adapt_lr", "gate_lr"):
+            value = getattr(self, name)
+            if not 0.0 < value < float("inf"):
+                raise ConfigError(f"{name}: must be positive and finite, got {value}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size: must be positive, got {self.batch_size}")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError(f"split_ratio: must lie in (0, 1), got {self.split_ratio}")
+        if not 0.0 <= self.adapt_momentum < 1.0:
+            raise ConfigError(f"adapt_momentum: must lie in [0, 1), got {self.adapt_momentum}")
+        if not 0.0 <= self.adapt_weight_decay < float("inf"):
+            raise ConfigError(f"adapt_weight_decay: must be finite and nonnegative, got {self.adapt_weight_decay}")
 
     def adapt_sgd(self) -> SgdConfig:
         # Fixed small lr, no decay, over the adaptation epochs.
@@ -111,14 +118,9 @@ def train_local_baseline(
     client_id: int = 0,
 ) -> ModelParams:
     """From-scratch training on the client's own data only."""
-    params = build_model(spec, seed)
     # Shuffle stream must be independent of the init stream, which consumed seed.
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    trained = sgd_epochs(
-        params.tensors, spec, client_data.features.data, client_data.labels, epochs, batch_size, sgd, rng,
-        "local", client_id,
-    )
-    return ModelParams(spec, trained)
+    return sgd_epochs(build_model(spec, seed), client_data, epochs, batch_size, sgd, rng, "local", client_id)
 
 
 def pfl_ft(
@@ -129,26 +131,9 @@ def pfl_ft(
     client_id: int = 0,
 ) -> PersonalizedClient:
     """Fine-tune the whole model from the global parameters at a small lr."""
-    rng = np.random.default_rng(seed)
-    trained = sgd_epochs(
-        global_params.tensors,
-        global_params.spec,
-        client_data.features.data,
-        client_data.labels,
-        cfg.epochs,
-        cfg.batch_size,
-        cfg.adapt_sgd(),
-        rng,
-        "pfl_ft",
-        client_id,
-    )
-    return PersonalizedClient(
-        client_id=client_id,
-        algorithm="pfl_ft",
-        personalized=trained,
-        gate=None,
-        global_model=global_params,
-    )
+    trained = sgd_epochs(global_params, client_data, cfg.epochs, cfg.batch_size, cfg.adapt_sgd(),
+                         np.random.default_rng(seed), "pfl_ft", client_id)
+    return PersonalizedClient(client_id, "pfl_ft", trained.tensors, None, global_params)
 
 
 def _head_loss(spec: ModelSpec, features: np.ndarray, labels: np.ndarray) -> LossFn:

@@ -158,11 +158,9 @@ def test_criterion_2_degenerate_federation_equivalence():
 
     init = models.build_model(spec, cfg.seed)
     rng = np.random.default_rng(federation.derive_seed(cfg.seed, 1, 0))
-    central = federation.sgd_epochs(
-        init.tensors, spec, ds.features.data, ds.labels, 3, 8, cfg.sgd, rng
-    )
-    for name in central:
-        assert np.array_equal(result.final.tensors[name].data, central[name].data), name
+    central = federation.sgd_epochs(init, ds, 3, 8, cfg.sgd, rng)
+    for name, t in central.tensors.items():
+        assert np.array_equal(result.final.tensors[name].data, t.data), name
 
     # Two clients, equal counts, parameters p and -p: exact zero average.
     base = models.build_model(spec, seed=1)
@@ -190,17 +188,15 @@ def test_criterion_3_mixing_boundary_identities():
     ds = data.make_synthetic(classes=6, per_class=20, seed=9)
     glob = models.build_model(spec, seed=2)
     rng = np.random.default_rng(3)
-    trained = federation.sgd_epochs(
-        glob.tensors, spec, ds.features.data, ds.labels, 8, 16, SgdConfig(learning_rate=0.1), rng
-    )
-    glob = models.ModelParams(spec, trained)
+    glob = federation.sgd_epochs(glob, ds, 8, 16, SgdConfig(learning_rate=0.1), rng)
     client_split = data.split_per_gate(range(len(ds)), ratio=0.8, seed=1)
     head_client = personalization.HeadClient(
         0, 4, ds.subset(client_split.per_indices), ds.subset(client_split.gate_indices)
     )
     client, = personalization.personalize_heads(
         "pfl_mf", glob, [head_client],
-        personalization.PersonalizationConfig("pfl_mf", epochs=3, adapt_lr=0.02, gate_lr=0.05, batch_size=16),
+        personalization.PersonalizationConfig("pfl_mf", epochs=3, adapt_lr=0.02, gate_lr=0.05, batch_size=16,
+                                              split_ratio=0.8, adapt_momentum=0.9, adapt_weight_decay=0.0005),
     )
 
     inputs = Tensor(np.random.default_rng(11).uniform(size=(1000, 1, 32, 32)))
@@ -263,12 +259,11 @@ def test_criterion_5_local_test_oracle_equivalence():
         ratios = rng.dirichlet(np.full(8, 0.7))
         pred = logits.argmax(axis=1)
         want = oracles.weighted_local_accuracy_loops(pred, ds.labels, ratios)
-        got = evaluation.local_test(
-            lambda x, logits=logits: Tensor(logits), ds, ratios
-        )
+        per_class = evaluation.per_class_accuracy(lambda x, logits=logits: Tensor(logits), ds)
+        got = evaluation.local_test_from_per_class(per_class, ratios)
         assert abs(got - want) < EXACT_TOL, f"trial {trial}: {got} vs {want}"
 
-    # Aggregation identity: sum_i (n_i/n) * local_test(model, ratios_i) equals
+    # Aggregation identity: sum_i (n_i/n) * (local test of the model at ratios_i) equals
     # the training-distribution-weighted accuracy of the same predictor.
     train = data.make_synthetic(classes=8, per_class=50, seed=32, side=8)
     partition = data.dirichlet_partition(train, data.PartitionSpec(12, 0.5, seed=6))
@@ -293,11 +288,7 @@ def test_criterion_6_gate_safety():
         train = data.make_synthetic(classes=4, per_class=40, seed=50 + seed, noise=0.2)
         params = models.build_model(spec, seed=seed)
         rng = np.random.default_rng(seed)
-        trained = federation.sgd_epochs(
-            params.tensors, spec, train.features.data, train.labels, 15, 16,
-            SgdConfig(learning_rate=0.1), rng,
-        )
-        glob = models.ModelParams(spec, trained)
+        glob = federation.sgd_epochs(params, train, 15, 16, SgdConfig(learning_rate=0.1), rng)
         corrupt = np.random.default_rng(900 + seed)
         corrupted = {k: Tensor(corrupt.normal(scale=0.5, size=t.shape)) for k, t in glob.classifier.items()}
         gate_ds = data.synthetic_test_set(50 + seed, classes=4, per_class=10, noise=0.2)

@@ -179,6 +179,17 @@ def test_hand_edited_partition_is_rejected(workspace, capsys, edit):
         assert "partition.json" in err and "fedmoe partition" in err
 
 
+def test_partition_that_leaves_examples_out_names_the_first(workspace, capsys):
+    config, out = workspace
+    run(["partition", "--config", config])
+    path = out / "partition.json"
+    blob = json.loads(path.read_text())
+    dropped = [blob["clients"][0].pop(), blob["clients"][-1].pop(0)]
+    path.write_text(json.dumps(blob))
+    assert cli.main(["fedavg", "--config", str(config)]) == 2
+    assert f"assigns example {min(dropped)} to no client; re-run `fedmoe partition" in capsys.readouterr().err
+
+
 class TestPersonalizeCommand:
     def test_metrics_schema_per_algorithm(self, workspace):
         config, out = workspace
@@ -393,6 +404,17 @@ class TestReportCommand:
         assert float(line[2]) == pytest.approx(0.7, abs=1e-9)
         assert float(line[3]) == pytest.approx(0.5, abs=1e-9)
 
+    def test_client_id_of_non_ascii_digits_stays_text(self, tmp_path):
+        # "²" and "٣" are digits to str.isdigit; int() rejects the first and
+        # reads the second as 3.
+        path = tmp_path / "m.csv"
+        path.write_text("run_id,algorithm,client_id,local_acc,global_acc,seed\n"
+                        "r,local,\u00b2,0.5,0.4,1\nr,local,\u0663,0.7,0.6,1\nr,local,3,0.6,0.5,1\n",
+                        encoding="utf-8")
+        assert [r.client_id for r in evaluation.read_metrics_csv(path)] == ["\u00b2", "\u0663", 3]
+        out = tmp_path / "report"
+        run(["report", path, "--out", out])
+        assert (out / "report.csv").read_text().splitlines()[1].startswith("local,3,0.6")
 
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read metrics file {path}: No such file or directory"),

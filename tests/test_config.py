@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from fedmoe.config import load_config
+from fedmoe.config import DEFAULTS, load_config
 from fedmoe.errors import ConfigError
 
 
@@ -123,12 +125,52 @@ def test_missing_file(tmp_path):
         load_config(tmp_path / "nope.ini")
 
 
+# A value other than the default for every personalization key.
+PERSONALIZATION_KNOBS = {"epochs": 7, "adapt_lr": 0.003, "gate_lr": 0.004, "batch": 9, "split_ratio": 0.7,
+                         "adapt_momentum": 0.6, "adapt_weight_decay": 0.002}
+
+
 def test_snapshot_round_trips_every_knob(tmp_path):
-    cfg = load_config(write_config(tmp_path))
+    assert set(PERSONALIZATION_KNOBS) == set(DEFAULTS["personalization"])
+    knobs = "".join(f"{key} = {value}\n" for key, value in PERSONALIZATION_KNOBS.items())
+    cfg = load_config(write_config(tmp_path, extra="\n[personalization]\n" + knobs))
     snap = cfg.snapshot()
     assert snap["federation"]["rounds"] == 2
-    assert snap["personalization"]["pfl_fb"]["adapt_lr"] == pytest.approx(0.001)
     assert snap["model"]["hidden_sizes"] == [16]
-    import json
-
+    for alg, recorded in snap["personalization"].items():
+        for key, value in PERSONALIZATION_KNOBS.items():
+            assert recorded["batch_size" if key == "batch" else key] == value, (alg, key)
     json.dumps(snap)  # must be JSON-serializable as written
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("dataset", "channels", "0"),
+    ("dataset", "noise", "nan"),
+    ("dataset", "noise", "inf"),
+    ("dataset", "noise", "-0.5"),
+    ("dataset", "center_jitter", "-1"),
+    ("dataset", "center_jitter", "nan"),
+    ("dataset", "center_jitter", "inf"),
+    ("model", "hidden_sizes", "0"),
+    ("model", "hidden_sizes", "-4"),
+    ("model", "hidden_sizes", "16, 0"),
+    ("partition", "concentration", "inf"),
+    ("partition", "concentration", "nan"),
+    ("federation", "weight_decay", "nan"),
+    ("local_baseline", "weight_decay", "inf"),
+    ("personalization", "adapt_lr", "inf"),
+    ("personalization", "gate_lr", "inf"),
+    ("personalization", "adapt_momentum", "nan"),
+    ("personalization", "adapt_weight_decay", "inf"),
+])
+def test_value_outside_its_range_is_a_config_error_naming_it(tmp_path, section, key, value):
+    # BASE with key = value in its [section], in place of any value BASE gives.
+    lines = [line for line in BASE.format(out=tmp_path / "out").splitlines() if not line.startswith(f"{key} = ")]
+    if f"[{section}]" not in lines:
+        lines.append(f"[{section}]")
+    at = lines.index(f"[{section}]") + 1
+    path = tmp_path / "exp.ini"
+    path.write_text("\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n")
+    # [personalization] sets every algorithm's section; the first one is named.
+    with pytest.raises(ConfigError, match=rf"^{section}(\.local)?\.{key}: "):
+        load_config(path)

@@ -85,7 +85,8 @@ class TestLocalTest:
         ds = small_test_set(classes=8, per_class=15, seed=5)
         predictor = random_predictor(8, seed=11)
         ratios = np.full(8, 1 / 8)
-        local = evaluation.local_test(random_predictor(8, 11), ds, ratios)
+        per_class = evaluation.per_class_accuracy(random_predictor(8, 11), ds)
+        local = evaluation.local_test_from_per_class(per_class, ratios)
         glob = evaluation.global_test(predictor, ds)
         assert local == pytest.approx(glob, abs=1e-12)
 
@@ -104,14 +105,16 @@ class TestLocalTest:
             predictor = random_predictor(6, seed=100 + trial)
             pred = evaluation.predict_labels(predictor, ds)
             want = oracles.weighted_local_accuracy_loops(pred, ds.labels, ratios)
-            got = evaluation.local_test(random_predictor(6, seed=100 + trial), ds, ratios)
+            per_class = evaluation.per_class_accuracy(random_predictor(6, seed=100 + trial), ds)
+            got = evaluation.local_test_from_per_class(per_class, ratios)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_ratio_for_class_missing_from_test_set(self):
         ds = small_test_set(classes=3, per_class=8, seed=8)
         trimmed = ds.subset(np.flatnonzero(ds.labels != 2))
         with pytest.raises(EvaluationError):
-            evaluation.local_test(random_predictor(3, 1), trimmed, np.array([0.5, 0.2, 0.3]))
+            evaluation.local_test_from_per_class(evaluation.per_class_accuracy(random_predictor(3, 1), trimmed),
+                                                 np.array([0.5, 0.2, 0.3]))
 
     def test_ratios_equal_to_test_distribution_recover_global_test(self):
         # Holds on an unbalanced test set too.
@@ -119,7 +122,8 @@ class TestLocalTest:
         unbalanced = ds.subset([i for i in range(len(ds)) if not (ds.labels[i] == 0 and i % 2)])
         ratios = unbalanced.class_counts() / len(unbalanced)
         predictor = random_predictor(5, seed=23)
-        local = evaluation.local_test(random_predictor(5, 23), unbalanced, ratios)
+        per_class = evaluation.per_class_accuracy(random_predictor(5, 23), unbalanced)
+        local = evaluation.local_test_from_per_class(per_class, ratios)
         glob = evaluation.global_test(predictor, unbalanced)
         assert local == pytest.approx(glob, abs=1e-12)
 

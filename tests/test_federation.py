@@ -39,8 +39,7 @@ class TestLocalUpdate:
     def test_zero_epochs_returns_params_unchanged(self):
         ds = tiny_dataset()
         params = models.build_model(MLP, seed=1)
-        updated, n = federation.local_update(params, ds, fed_cfg(local_epochs=0), seed=3)
-        assert n == len(ds)
+        updated = federation.local_update(params, ds, fed_cfg(local_epochs=0), seed=3)
         assert all(np.array_equal(updated.tensors[k].data, params.tensors[k].data) for k in params.tensors)
 
     def test_single_full_batch_is_one_sgd_step(self):
@@ -48,7 +47,7 @@ class TestLocalUpdate:
         ds = tiny_dataset(per_class=4)
         params = models.build_model(MLP, seed=2)
         cfg = fed_cfg(local_epochs=1, local_batch=len(ds))
-        updated, _ = federation.local_update(params, ds, cfg, seed=5)
+        updated = federation.local_update(params, ds, cfg, seed=5)
 
         rng = np.random.default_rng(5)
         order = rng.permutation(len(ds))
@@ -71,8 +70,7 @@ class TestLocalUpdate:
 
         losses = [mean_loss(params)]
         for epoch in range(5):
-            updated, _ = federation.local_update(params, ds, fed_cfg(local_epochs=1), seed=100 + epoch)
-            params = updated
+            params = federation.local_update(params, ds, fed_cfg(local_epochs=1), seed=100 + epoch)
             losses.append(mean_loss(params))
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
@@ -129,10 +127,23 @@ class TestTrainFederated:
 
         init = models.build_model(MLP, cfg.seed)
         rng = np.random.default_rng(federation.derive_seed(cfg.seed, 1, 0))
-        want = federation.sgd_epochs(
-            init.tensors, MLP, ds.features.data, ds.labels, 2, 8, cfg.sgd, rng
-        )
-        assert all(np.array_equal(result.final.tensors[k].data, want[k].data) for k in want)
+        want = federation.sgd_epochs(init, ds, 2, 8, cfg.sgd, rng)
+        assert all(np.array_equal(result.final.tensors[k].data, t.data) for k, t in want.tensors.items())
+
+    def test_updates_are_weighted_by_client_example_counts(self):
+        ds = tiny_dataset(seed=14, per_class=6)
+        partition = data.ClientPartition((tuple(range(4)), tuple(range(4, len(ds)))))
+        cfg = fed_cfg(rounds=1, local_epochs=1, local_batch=6, seed=15)
+        result = federation.train_federated(ds, partition, MLP, cfg, eval_fn=lambda p: 0.0)
+        updates = []
+        for cid, indices in enumerate(partition.clients):
+            client = ds.subset(list(indices))
+            seed = federation.derive_seed(cfg.seed, 1, cid)
+            updates.append(federation.ClientUpdate(
+                cid, federation.local_update(models.build_model(MLP, cfg.seed), client, cfg, seed), len(client)))
+        want = federation.aggregate(updates)
+        assert [u.num_examples for u in updates] == [4, len(ds) - 4]
+        assert all(np.array_equal(result.final.tensors[k].data, want.tensors[k].data) for k in want.tensors)
 
     def test_zero_rounds_returns_initial_model(self):
         ds = tiny_dataset(seed=7)
@@ -161,9 +172,6 @@ class TestTrainFederated:
         partition = data.ClientPartition((idx, idx, idx))
         cfg = fed_cfg(rounds=1, local_epochs=1, local_batch=6, seed=11)
         result = federation.train_federated(ds, partition, MLP, cfg, eval_fn=lambda p: 0.0)
-        single, _ = federation.local_update(
-            models.build_model(MLP, cfg.seed), ds, cfg, federation.derive_seed(cfg.seed, 1, 0)
-        )
         # All three clients hold the same data; with per-client seeds they differ,
         # so force identical seeds by comparing against the average of the three.
         updates = [
@@ -171,14 +179,13 @@ class TestTrainFederated:
                 cid,
                 federation.local_update(
                     models.build_model(MLP, cfg.seed), ds, cfg, federation.derive_seed(cfg.seed, 1, cid)
-                )[0],
+                ),
                 len(ds),
             )
             for cid in range(3)
         ]
         want = federation.aggregate(updates)
         assert all(np.array_equal(result.final.tensors[k].data, want.tensors[k].data) for k in want.tensors)
-        del single
 
     def test_best_checkpoint_is_running_max(self):
         ds = tiny_dataset(seed=12, per_class=10)

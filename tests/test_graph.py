@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 
 import oracles
-from fedmoe import federation, models
+from fedmoe import data, federation, models
 from fedmoe.errors import UsageError
 from fedmoe.numerics import SgdConfig, Tensor, graph, kernels
 
 GRAD_TOL = 1e-4
 FD_STEP = 1e-5
+
+
+def sgd_full_batch(params: models.ModelParams, x: np.ndarray, labels: np.ndarray) -> None:
+    """One epoch of federation.sgd_epochs over (x, labels) as a single batch."""
+    ds = data.LabeledDataset(Tensor(x), labels, classes=params.spec.classes)
+    federation.sgd_epochs(params, ds, 1, len(labels), SgdConfig(learning_rate=0.1), np.random.default_rng(0))
 
 
 def check_gradients(build_loss, arrays, tol=GRAD_TOL):
@@ -196,8 +202,7 @@ class TestGradientPruning:
             return real(dy, k)
 
         monkeypatch.setattr(kernels, "conv2d_input_grad", counting)
-        federation.sgd_epochs(params, self.SPEC, x, labels, 1, len(labels), SgdConfig(learning_rate=0.1),
-                              np.random.default_rng(0))
+        sgd_full_batch(models.ModelParams(self.SPEC, params), x, labels)
         assert kernel_shapes == [params["conv2.weight"].shape]
 
     def test_parameter_gradients_do_not_depend_on_requesting_the_input(self):
@@ -265,8 +270,7 @@ def test_lenet5_training_batch_runs_relu_on_pooled_maps(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(kernels, "relu", recording)
-    federation.sgd_epochs(models.build_model(spec, seed=5).tensors, spec, x, labels, 1, len(labels),
-                          SgdConfig(learning_rate=0.1), np.random.default_rng(0))
+    sgd_full_batch(models.build_model(spec, seed=5), x, labels)
     assert relu_shapes == [(3, 6, 14, 14), (3, 16, 5, 5), (3, 120), (3, 84)]
 
 
@@ -281,7 +285,7 @@ class TestConstantValues:
 
     def test_sgd_epoch_batch_builds_each_patch_matrix_once(self, monkeypatch):
         rng = np.random.default_rng(53)
-        params = models.build_model(self.SPEC, seed=5).tensors
+        params = models.build_model(self.SPEC, seed=5)
         x = rng.uniform(size=(3,) + self.SPEC.input_shape)
         builds = []
         real = kernels._im2col
@@ -291,8 +295,7 @@ class TestConstantValues:
             return real(x, khw)
 
         monkeypatch.setattr(kernels, "_im2col", counting)
-        federation.sgd_epochs(params, self.SPEC, x, rng.integers(0, 4, size=3), 1, 3,
-                              SgdConfig(learning_rate=0.1), np.random.default_rng(0))
+        sgd_full_batch(params, x, rng.integers(0, 4, size=3))
         assert builds == [1, 6]  # conv1's input channels, then conv2's
 
     def test_inference_builds_no_backward_closure(self, monkeypatch):

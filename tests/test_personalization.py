@@ -19,7 +19,8 @@ def client_dataset(seed=0, per_class=15, classes=4, **kwargs):
 
 
 def pcfg(algorithm, **kwargs):
-    defaults = dict(epochs=3, adapt_lr=0.01, gate_lr=0.05, batch_size=16, split_ratio=0.8)
+    defaults = dict(epochs=3, adapt_lr=0.01, gate_lr=0.05, batch_size=16, split_ratio=0.8,
+                    adapt_momentum=0.9, adapt_weight_decay=0.0005)
     defaults.update(kwargs)
     return personalization.PersonalizationConfig(algorithm, **defaults)
 
@@ -29,10 +30,7 @@ def global_model(seed=11):
     ds = client_dataset(seed=seed, per_class=30)
     params = models.build_model(SPEC, seed=seed)
     rng = np.random.default_rng(seed)
-    trained = federation.sgd_epochs(
-        params.tensors, SPEC, ds.features.data, ds.labels, 12, 16, SgdConfig(learning_rate=0.1), rng
-    )
-    return models.ModelParams(SPEC, trained), ds
+    return federation.sgd_epochs(params, ds, 12, 16, SgdConfig(learning_rate=0.1), rng), ds
 
 
 def fit_gate(mode, inputs, global_logits, local_logits, labels, cfg, seed):
@@ -359,11 +357,7 @@ class TestGateSafety:
         train = data.make_synthetic(classes=4, per_class=40, seed=40 + seed, noise=0.2)
         params = models.build_model(SPEC, seed=seed)
         rng = np.random.default_rng(seed)
-        trained = federation.sgd_epochs(
-            params.tensors, SPEC, train.features.data, train.labels, 15, 16,
-            SgdConfig(learning_rate=0.1), rng,
-        )
-        glob = models.ModelParams(SPEC, trained)
+        glob = federation.sgd_epochs(params, train, 15, 16, SgdConfig(learning_rate=0.1), rng)
 
         corrupt_rng = np.random.default_rng(1000 + seed)
         corrupted = {
@@ -385,12 +379,12 @@ class TestGateSafety:
 class TestConfigValidation:
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError):
-            personalization.PersonalizationConfig("pfl_xx")
+            pcfg("pfl_xx")
 
     def test_non_local_needs_epochs(self):
         with pytest.raises(ConfigError):
-            personalization.PersonalizationConfig("pfl_fb", epochs=0)
-        personalization.PersonalizationConfig("local", epochs=0)
+            pcfg("pfl_fb", epochs=0)
+        pcfg("local", epochs=0)
 
     def test_gate_present_exactly_for_moe(self):
         glob, _ = global_model()

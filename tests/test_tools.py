@@ -1,7 +1,11 @@
-"""tools/output_digests.py, the byte-identity check between two checkouts, and
-tools/bench_pairs.py, the paired benchmark summary."""
+"""tools/output_digests.py, the byte-identity check between two checkouts,
+tools/bench_pairs.py, the paired benchmark summary, and the program names
+the benchmark under bench/ reaches into."""
 
+import ast
+import importlib
 import importlib.util
+import re
 import shutil
 from pathlib import Path
 
@@ -121,3 +125,80 @@ def test_bench_pairs_gap_must_exceed_the_parent_iqr():
     entry = tool.summarize(synthetic_pairs(parent, [p - 2.0 for p in parent]), DECLARED)["metrics"]["pfl_fb_s"]
     ok, problems = tool.judge(entry, "lower", 0.30)
     assert not ok and any("parent IQR" in p for p in problems)
+
+
+BENCH = TOOL.parents[1] / "bench"
+# Traced names that src/ no longer has; their figures read 0 until the
+# benchmark drops them. No other traced name may go missing.
+STALE_TARGETS = {"graph.add", "graph.mul", "graph.sum_all", "models.gate_forward", "personalization.pfl_fb",
+                 "personalization.run_pfl_mf", "personalization.run_pfl_mfe", "personalization.mean_gate_weight"}
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a fedmoe module, or a name bound in one, or a
+    method defined on one of its classes (where the tracer patches it)."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for part in parts[i:]:
+            obj = vars(obj).get(part)
+            if obj is None:
+                return False
+        return True
+    return False
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = {f"{module.removeprefix('fedmoe.').removeprefix('numerics.')}.{attr}"
+               for module, attr, *_ in tracing.TARGETS if not resolves(f"{module}.{attr}")}
+    assert missing <= STALE_TARGETS
+
+
+def test_every_program_api_the_benchmark_readme_lists_resolves():
+    text = (BENCH / "README.md").read_text()
+    section = text.split("## Program APIs the benchmark calls", 1)[1].split("\n## ", 1)[0]
+    names = []
+    for name in re.findall(r"`([^`]+)`", section):
+        # A kernel's call form, as in `conv2d(x, k, b)`, names a function of numerics.kernels.
+        names.append(f"numerics.kernels.{name.split('(')[0]}" if "(" in name else name)
+    assert "cli.main" in names and "numerics.kernels.conv2d" in names
+    assert [name for name in names if not resolves(f"fedmoe.{name}")] == []
+
+
+def monkeypatched_names(path) -> set[str]:
+    """Every ``module.name`` that a test in ``path`` replaces with
+    ``monkeypatch.setattr(module, name, ...)``, where module is imported from
+    fedmoe and name is a string, a loop variable or a pytest parameter."""
+    tree = ast.parse(path.read_text())
+    modules = {alias.asname or alias.name: f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fedmoe")
+               for alias in node.names}
+    found = set()
+    for test in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        values = {}  # the nodes each variable of the test takes
+        for mark in test.decorator_list:
+            if isinstance(mark, ast.Call) and ast.unparse(mark.func) == "pytest.mark.parametrize":
+                for row in mark.args[1].elts:
+                    for arg, value in zip(mark.args[0].value.split(","), row.elts):
+                        values.setdefault(arg.strip(), []).append(value)
+        for node in ast.walk(test):
+            if isinstance(node, ast.For) and isinstance(node.iter, (ast.Tuple, ast.List)):
+                values[ast.unparse(node.target)] = node.iter.elts
+        for node in ast.walk(test):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "monkeypatch.setattr":
+                holders, attrs = (values.get(arg.id, [arg]) if isinstance(arg, ast.Name) else [arg]
+                                  for arg in node.args[:2])
+                found |= {f"{modules[h.id]}.{ast.literal_eval(a)}" for h in holders for a in attrs}
+    return found
+
+
+def test_every_name_the_benchmark_self_tests_monkeypatch_resolves():
+    names = monkeypatched_names(BENCH / "selftest_checks.py")
+    assert {"fedmoe.personalization.sgd_step", "fedmoe.numerics.kernels.conv2d"} <= names
+    assert sorted(name for name in names if not resolves(name)) == []
