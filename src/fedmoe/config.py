@@ -4,14 +4,19 @@ Every key has a default matching the reference hyperparameters (100 clients,
 1000 rounds, participation 0.1, batch 10, 5 local epochs, lr 0.01 with
 momentum 0.5 for federation; 200 adaptation epochs at lr 0.001; gate lr
 0.001; local baseline 300 epochs at lr 0.1 with decay 0.1 every 100).
-Validation is total: any bad value is rejected, with its section.key path,
-before any compute starts.
+``DEFAULTS`` is the one list of keys: each section builds its dataclass from
+the fields whose key it has, and records the values it read for the run
+manifests. Validation is total: any bad value is rejected, naming the
+section that set it and its key, before any compute starts.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import asdict, dataclass, field
+import copy
+import functools
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .data import PartitionSpec
@@ -69,6 +74,22 @@ DEFAULTS = {
     },
 }
 
+# The INI key of each dataclass field whose name differs from its key.
+_KEYS = {"learning_rate": "lr", "batch_size": "batch"}
+# The [dataset] keys that DatasetConfig holds as idx_paths.
+_IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
+# local trains with the [local_baseline] keys; the others adapt with [personalization].
+_ADAPTED = tuple(alg for alg in ALGORITHMS if alg != "local")
+# How a raw value becomes each field type, and what a value that fails is said to need.
+_CONVERT = {
+    str: (str.strip, "text"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    tuple[int, ...]: (lambda raw: [int(part) for part in raw.split(",")] if raw.strip() else [],
+                      "comma-separated integers"),
+}
+_field_types = functools.cache(typing.get_type_hints)  # resolved once per dataclass
+
 
 @dataclass(frozen=True)
 class DatasetConfig:
@@ -84,6 +105,9 @@ class DatasetConfig:
     def __post_init__(self):
         if self.source not in ("synthetic", "idx"):
             raise ConfigError(f"source: expected synthetic or idx, got {self.source!r}")
+        for key in _IDX_KEYS if self.source == "idx" else ():
+            if not self.idx_paths.get(key):
+                raise ConfigError(f"{key}: required when source is idx")
         if self.classes < 2:
             raise ConfigError(f"classes: need at least 2, got {self.classes}")
         if self.channels < 1:
@@ -102,6 +126,12 @@ class LocalBaselineConfig:
     sgd: SgdConfig
     batch: int
 
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ConfigError(f"epochs: must be nonnegative, got {self.epochs}")
+        if self.batch < 1:
+            raise ConfigError(f"batch: must be positive, got {self.batch}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -114,247 +144,101 @@ class ExperimentConfig:
     out_dir: Path
     seed: int
     workers: int
+    read: dict[str, dict]  # section -> INI key -> the value its dataclass took
 
     def snapshot(self) -> dict:
-        """Resolved config as plain JSON-serializable data, for run manifests."""
-        return {
-            "seed": self.seed,
-            "workers": self.workers,
-            "out_dir": str(self.out_dir),
-            "dataset": asdict(self.dataset),
-            "model": self.model.to_json(),
-            "partition": asdict(self.partition),
-            "federation": {
-                "rounds": self.federation.rounds,
-                "participation": self.federation.participation,
-                "local_epochs": self.federation.local_epochs,
-                "local_batch": self.federation.local_batch,
-                "lr": self.federation.sgd.learning_rate,
-                "momentum": self.federation.sgd.momentum,
-                "weight_decay": self.federation.sgd.weight_decay,
-                "weighting": self.federation.weighting,
-                "eval_interval": self.federation.eval_interval,
-                "seed": self.federation.seed,
-            },
-            "local_baseline": {
-                "epochs": self.local_baseline.epochs,
-                "lr": self.local_baseline.sgd.learning_rate,
-                "momentum": self.local_baseline.sgd.momentum,
-                "weight_decay": self.local_baseline.sgd.weight_decay,
-                "lr_decay_factor": self.local_baseline.sgd.lr_decay_factor,
-                "lr_decay_every": self.local_baseline.sgd.lr_decay_every,
-                "batch": self.local_baseline.batch,
-            },
-            "personalization": {
-                alg: {key: value for key, value in asdict(cfg).items() if key != "algorithm"}
-                for alg, cfg in self.personalization.items()
-            },
-        }
+        """Resolved config as plain JSON-serializable data, for run manifests:
+        the run keys, then every section's values under their INI keys."""
+        return copy.deepcopy({"seed": self.seed, "workers": self.workers, "out_dir": str(self.out_dir), **self.read})
 
 
-class _Reader:
-    """Typed access to one parsed section, with section.key error paths."""
+class _Section:
+    """One section's raw values over its ``DEFAULTS``, a dotted section
+    ([personalization.pfl_mf]) over its base section, each key with the
+    section that set it. ``read`` collects what ``build`` gave its types."""
 
-    def __init__(self, parser: configparser.ConfigParser, section: str):
-        # A dotted section ([personalization.pfl_mf]) overrides its base section.
-        self.section, base = section, section.split(".")[0]
-        self.values = dict(DEFAULTS.get(base, {}))
-        for name in dict.fromkeys((base, section)):
-            if parser.has_section(name):
-                self.values.update(parser[name])
+    def __init__(self, parser: configparser.ConfigParser, name: str):
+        base = name.split(".")[0]
+        self.name, self.values, self.read = name, dict(DEFAULTS[base]), {}
+        self.origin = dict.fromkeys(self.values, base)
+        for section in dict.fromkeys((base, name)):
+            for key, raw in parser[section].items() if parser.has_section(section) else ():
+                if key not in self.values:
+                    raise ConfigError(f"{section}.{key}: unknown key")
+                self.values[key], self.origin[key] = raw, section
 
-    def _get(self, key: str) -> str:
-        if key not in self.values:
-            raise ConfigError(f"{self.section}.{key}: unknown key")
-        return self.values[key]
-
-    def str(self, key: str) -> str:
-        return self._get(key).strip()
-
-    def int(self, key: str) -> int:
-        raw = self._get(key)
+    def value(self, key: str, kind=str):
+        convert, needs = _CONVERT[kind]
         try:
-            return int(raw)
+            return convert(self.values[key])
         except ValueError:
-            raise ConfigError(f"{self.section}.{key}: expected an integer, got {raw!r}") from None
+            raise ConfigError(f"{self.origin[key]}.{key}: expected {needs}, got {self.values[key]!r}") from None
 
-    def float(self, key: str) -> float:
-        raw = self._get(key)
+    def build(self, cls, **derived):
+        """``cls`` from the derived values and from every field whose INI key
+        this section has, converted by the field's type. A ``ConfigError``
+        that ``cls`` raises for a field names the key and where it was set."""
+        kinds = _field_types(cls)
+        kwargs = dict(derived)
+        for f in fields(cls):
+            key = _KEYS.get(f.name, f.name)
+            if is_dataclass(kinds[f.name]):
+                kwargs[f.name] = self.build(kinds[f.name])
+            elif f.name not in derived and key in self.values:
+                kwargs[f.name] = self.read[key] = self.value(key, kinds[f.name])
+        self.read.update(derived)
         try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{self.section}.{key}: expected a number, got {raw!r}") from None
-
-    def int_list(self, key: str) -> tuple[int, ...]:
-        raw = self._get(key).strip()
-        if not raw:
-            return ()
-        try:
-            return tuple(int(part.strip()) for part in raw.split(","))
-        except ValueError:
-            raise ConfigError(f"{self.section}.{key}: expected comma-separated integers, got {raw!r}") from None
-
-    def check_known_keys(self):
-        known = set(DEFAULTS.get(self.section.split(".")[0], {}))
-        unknown = set(self.values) - known
-        if unknown:
-            raise ConfigError(f"{self.section}.{sorted(unknown)[0]}: unknown key")
-
-
-def _wrap(section: str, build):
-    try:
-        return build()
-    except ConfigError as e:
-        msg = str(e)
-        if msg.startswith(section):
-            raise
-        raise ConfigError(f"{section}.{msg}") from None
+            return cls(**kwargs)
+        except ConfigError as e:
+            name, _, reason = str(e).partition(": ")
+            key = _KEYS.get(name, name)
+            raise ConfigError(f"{self.origin.get(key, self.name)}.{key}: {reason}") from None
 
 
 def load_config(path, seed_override: int | None = None, workers_override: int | None = None,
                 out_override: str | None = None) -> ExperimentConfig:
     """Parse and validate an experiment INI file."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a '%' in a value is literal
     try:
-        read = parser.read(path)
+        found = parser.read(path)
     except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"malformed config file {path}: {e}") from None
-    if not read:
+    if not found:
         raise ConfigError(f"config file not found: {path}")
-    known_sections = set(DEFAULTS) | {f"personalization.{alg}" for alg in ALGORITHMS}
+    known_sections = set(DEFAULTS) | {f"personalization.{alg}" for alg in _ADAPTED}
     for section in parser.sections():
         if section == "personalization.local":
             raise ConfigError(f"{section}: local trains with the [local_baseline] keys; remove this section")
         if section not in known_sections:
             raise ConfigError(f"{section}: unknown section")
+    run, ds, model, part, fed, local = (
+        _Section(parser, name) for name in ("run", "dataset", "model", "partition", "federation", "local_baseline")
+    )
+    adapted = {alg: _Section(parser, f"personalization.{alg}") for alg in _ADAPTED}
 
-    run = _Reader(parser, "run")
-    run.check_known_keys()
-    seed = seed_override if seed_override is not None else run.int("seed")
-    workers = workers_override if workers_override is not None else run.int("workers")
+    seed = run.value("seed", int) if seed_override is None else seed_override
+    if seed < 0:
+        raise ConfigError(f"run.seed: must be nonnegative, got {seed}")
+    workers = run.value("workers", int) if workers_override is None else workers_override
     if workers < 1:
         raise ConfigError(f"run.workers: must be positive, got {workers}")
-    out_dir = Path(out_override if out_override is not None else run.str("out_dir"))
-
-    ds = _Reader(parser, "dataset")
-    ds.check_known_keys()
-    source = ds.str("source")
-    idx_paths = {}
-    if source == "idx":
-        for key in ("train_images", "train_labels", "test_images", "test_labels"):
-            value = ds.str(key)
-            if not value:
-                raise ConfigError(f"dataset.{key}: required when source is idx")
-            idx_paths[key] = value
-    dataset = _wrap(
-        "dataset",
-        lambda: DatasetConfig(
-            source=source,
-            classes=ds.int("classes"),
-            channels=ds.int("channels"),
-            per_class=ds.int("per_class"),
-            test_per_class=ds.int("test_per_class"),
-            noise=ds.float("noise"),
-            center_jitter=ds.float("center_jitter"),
-            idx_paths=idx_paths,
-        ),
-    )
-
-    model = _Reader(parser, "model")
-    model.check_known_keys()
-    spec = _wrap(
-        "model",
-        lambda: ModelSpec(
-            architecture=model.str("architecture"),
-            channels=dataset.channels,
-            side=32,
-            classes=dataset.classes,
-            hidden_sizes=model.int_list("hidden_sizes"),
-        ),
-    )
-
-    part = _Reader(parser, "partition")
-    part.check_known_keys()
-    partition = _wrap(
-        "partition",
-        lambda: PartitionSpec(
-            clients=part.int("clients"),
-            concentration=part.float("concentration"),
-            seed=derive_seed(seed, 1),
-        ),
-    )
-
-    fed = _Reader(parser, "federation")
-    fed.check_known_keys()
-    federation_cfg = _wrap(
-        "federation",
-        lambda: FedConfig(
-            rounds=fed.int("rounds"),
-            participation=fed.float("participation"),
-            local_epochs=fed.int("local_epochs"),
-            local_batch=fed.int("local_batch"),
-            sgd=SgdConfig(
-                learning_rate=fed.float("lr"),
-                momentum=fed.float("momentum"),
-                weight_decay=fed.float("weight_decay"),
-            ),
-            seed=derive_seed(seed, 2),
-            weighting=fed.str("weighting"),
-            eval_interval=fed.int("eval_interval"),
-        ),
-    )
-
-    local = _Reader(parser, "local_baseline")
-    local.check_known_keys()
-    local_epochs = local.int("epochs")
-    if local_epochs < 0:
-        raise ConfigError(f"local_baseline.epochs: must be nonnegative, got {local_epochs}")
-    local_batch = local.int("batch")
-    if local_batch < 1:
-        raise ConfigError(f"local_baseline.batch: must be positive, got {local_batch}")
-    local_cfg = _wrap(
-        "local_baseline",
-        lambda: LocalBaselineConfig(
-            epochs=local_epochs,
-            sgd=SgdConfig(
-                learning_rate=local.float("lr"),
-                momentum=local.float("momentum"),
-                weight_decay=local.float("weight_decay"),
-                lr_decay_factor=local.float("lr_decay_factor"),
-                lr_decay_every=local.int("lr_decay_every"),
-            ),
-            batch=local_batch,
-        ),
-    )
-
-    base = _Reader(parser, "personalization")
-    base.check_known_keys()
-    personalization_cfgs: dict[str, PersonalizationConfig] = {}
-    for alg in ALGORITHMS:
-        reader = _Reader(parser, f"personalization.{alg}")
-        reader.check_known_keys()
-        personalization_cfgs[alg] = _wrap(
-            f"personalization.{alg}",
-            lambda r=reader, a=alg: PersonalizationConfig(
-                algorithm=a,
-                epochs=r.int("epochs"),
-                adapt_lr=r.float("adapt_lr"),
-                gate_lr=r.float("gate_lr"),
-                batch_size=r.int("batch"),
-                split_ratio=r.float("split_ratio"),
-                adapt_momentum=r.float("adapt_momentum"),
-                adapt_weight_decay=r.float("adapt_weight_decay"),
-            ),
-        )
-
+    idx_paths = {key: ds.value(key) for key in _IDX_KEYS} if ds.value("source") == "idx" else {}
+    dataset = ds.build(DatasetConfig, idx_paths=idx_paths)
     return ExperimentConfig(
         dataset=dataset,
-        model=spec,
-        partition=partition,
-        federation=federation_cfg,
-        local_baseline=local_cfg,
-        personalization=personalization_cfgs,
-        out_dir=out_dir,
+        model=model.build(ModelSpec, channels=dataset.channels, side=32, classes=dataset.classes),
+        partition=part.build(PartitionSpec, seed=derive_seed(seed, 1)),
+        federation=fed.build(FedConfig, seed=derive_seed(seed, 2)),
+        local_baseline=local.build(LocalBaselineConfig),
+        personalization={alg: section.build(PersonalizationConfig, algorithm=alg) for alg, section in adapted.items()},
+        out_dir=Path(run.value("out_dir") if out_override is None else out_override),
         seed=seed,
         workers=workers,
+        read={
+            **{section.name: section.read for section in (ds, model, part, fed, local)},
+            "personalization": {
+                alg: {key: value for key, value in section.read.items() if key != "algorithm"}
+                for alg, section in adapted.items()
+            },
+        },
     )

@@ -64,9 +64,8 @@ class PersonalizationConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm: expected one of {ALGORITHMS}, got {self.algorithm!r}")
-        min_epochs = 0 if self.algorithm == "local" else 1
-        if self.epochs < min_epochs:
-            raise ConfigError(f"epochs: need at least {min_epochs} for {self.algorithm}, got {self.epochs}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs: need at least 1, got {self.epochs}")
         for name in ("adapt_lr", "gate_lr"):
             value = getattr(self, name)
             if not 0.0 < value < float("inf"):

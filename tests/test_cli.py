@@ -477,6 +477,29 @@ def test_unreadable_input_is_an_error_line(tmp_path, capsys, case):
     assert err.startswith("error: " + message) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("case", ["percent in a value", "negative seed flag"])
+def test_config_value_error_is_an_error_line(tmp_path, capsys, case):
+    # A '%' in a value is literal, so '6%' is a value that is not an integer.
+    config, text = tmp_path / "exp.ini", CONFIG.format(out=tmp_path / "out")
+    args = ["partition", "--config", str(config)]
+    if case == "percent in a value":
+        config.write_text(text.replace("rounds = 6", "rounds = 6%"))
+        message = "federation.rounds: expected an integer, got '6%'"
+    else:
+        config.write_text(text)
+        args += ["--seed", "-1"]
+        message = "run.seed: must be nonnegative, got -1"
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_percent_in_the_output_path_is_literal(tmp_path):
+    config = tmp_path / "exp.ini"
+    config.write_text(CONFIG.format(out=tmp_path / "runs" / "50%"))
+    assert cli.main(["partition", "--config", str(config)]) == 0
+    assert (tmp_path / "runs" / "50%" / "partition.json").exists()
+
+
 class TestSelftestCommand:
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0

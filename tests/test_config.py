@@ -1,9 +1,11 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
 from fedmoe.config import DEFAULTS, load_config
-from fedmoe.errors import ConfigError
+from fedmoe.errors import ConfigError, FedmoeError
 
 
 BASE = """
@@ -78,7 +80,9 @@ def test_per_algorithm_override_section(tmp_path):
     path = write_config(tmp_path, extra=shared + "\n[personalization.pfl_mfe]\nepochs = 7\n")
     cfg = load_config(path)
     assert (cfg.personalization["pfl_mfe"].epochs, cfg.personalization["pfl_mfe"].batch_size) == (7, 8)
-    assert cfg.personalization["pfl_mf"].epochs == cfg.personalization["local"].epochs == 9
+    assert cfg.personalization["pfl_mf"].epochs == 9
+    # local trains with [local_baseline], so [personalization] builds no entry for it.
+    assert "local" not in cfg.personalization
 
 
 def test_personalization_local_section_is_rejected(tmp_path):
@@ -137,13 +141,15 @@ def test_snapshot_round_trips_every_knob(tmp_path):
     snap = cfg.snapshot()
     assert snap["federation"]["rounds"] == 2
     assert snap["model"]["hidden_sizes"] == [16]
+    assert set(snap["personalization"]) == {"pfl_ft", "pfl_fb", "pfl_mf", "pfl_mfe"}
     for alg, recorded in snap["personalization"].items():
         for key, value in PERSONALIZATION_KNOBS.items():
-            assert recorded["batch_size" if key == "batch" else key] == value, (alg, key)
+            assert recorded[key] == value, (alg, key)
     json.dumps(snap)  # must be JSON-serializable as written
 
 
 @pytest.mark.parametrize("section, key, value", [
+    ("run", "seed", "-3"),
     ("dataset", "channels", "0"),
     ("dataset", "noise", "nan"),
     ("dataset", "noise", "inf"),
@@ -162,6 +168,12 @@ def test_snapshot_round_trips_every_knob(tmp_path):
     ("personalization", "gate_lr", "inf"),
     ("personalization", "adapt_momentum", "nan"),
     ("personalization", "adapt_weight_decay", "inf"),
+    ("federation", "lr", "inf"),
+    ("local_baseline", "lr", "inf"),
+    ("local_baseline", "epochs", "-1"),
+    ("local_baseline", "batch", "0"),
+    ("personalization", "batch", "0"),
+    ("personalization.pfl_mf", "batch", "0"),
 ])
 def test_value_outside_its_range_is_a_config_error_naming_it(tmp_path, section, key, value):
     # BASE with key = value in its [section], in place of any value BASE gives.
@@ -171,6 +183,62 @@ def test_value_outside_its_range_is_a_config_error_naming_it(tmp_path, section, 
     at = lines.index(f"[{section}]") + 1
     path = tmp_path / "exp.ini"
     path.write_text("\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n")
-    # [personalization] sets every algorithm's section; the first one is named.
-    with pytest.raises(ConfigError, match=rf"^{section}(\.local)?\.{key}: "):
+    # The error names the INI key and the section that set it.
+    with pytest.raises(ConfigError, match=rf"^{re.escape(section)}\.{key}: "):
         load_config(path)
+
+
+def test_snapshot_holds_each_sections_keys(tmp_path):
+    # Every DEFAULTS key reaches the manifests under its section, with the IDX
+    # paths folded into idx_paths and the derived seeds and model sizes added.
+    snap = load_config(write_config(tmp_path)).snapshot()
+    expected = {section: set(keys) for section, keys in DEFAULTS.items()}
+    expected["dataset"] -= {"train_images", "train_labels", "test_images", "test_labels"}
+    expected["dataset"] |= {"idx_paths"}
+    expected["model"] |= {"channels", "side", "classes"}
+    expected["partition"] |= {"seed"}
+    expected["federation"] |= {"seed"}
+    run = expected.pop("run")
+    assert set(snap) == run | set(expected)
+    for section, keys in expected.items():
+        recorded = snap[section].values() if section == "personalization" else [snap[section]]
+        for entry in recorded:
+            assert set(entry) == keys, section
+
+
+# BASE with every section set, as the mutation test's starting point.
+FULL = BASE.format(out="runs/full") + """
+[local_baseline]
+epochs = 10
+lr = 0.05
+batch = 16
+lr_decay_every = 0
+
+[personalization]
+epochs = 5
+adapt_lr = 0.01
+batch = 16
+
+[personalization.pfl_mf]
+gate_lr = 0.05
+"""
+
+
+def test_every_truncation_and_seeded_byte_substitution_loads_or_raises_a_typed_error(tmp_path):
+    good = FULL.encode()
+    load_config(write_config(tmp_path, body=FULL))
+    rng = np.random.default_rng(20261019)
+    mutants = [good[:n] for n in range(len(good))]
+    for at, byte in zip(rng.integers(0, len(good), size=3000), rng.integers(0, 256, size=3000)):
+        mutants.append(good[:at] + bytes([byte]) + good[at + 1:])
+    path = tmp_path / "mutant.ini"
+    escapes = []
+    for i, blob in enumerate(mutants):
+        path.write_bytes(blob)
+        try:
+            load_config(path)
+        except FedmoeError:
+            pass
+        except Exception as e:  # noqa: BLE001 - any other type is the failure under test
+            escapes.append(f"mutant {i}: {type(e).__name__}: {e}")
+    assert not escapes, f"{len(escapes)} of {len(mutants)} escaped, first: {escapes[:3]}"

@@ -384,7 +384,6 @@ class TestConfigValidation:
     def test_non_local_needs_epochs(self):
         with pytest.raises(ConfigError):
             pcfg("pfl_fb", epochs=0)
-        pcfg("local", epochs=0)
 
     def test_gate_present_exactly_for_moe(self):
         glob, _ = global_model()
