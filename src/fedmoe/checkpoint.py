@@ -10,14 +10,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import struct
 from dataclasses import fields
 
 import numpy as np
 
 from .errors import DataFormatError
-from .fileio import atomic_open
+from .fileio import BoundedReader, atomic_open
 from .models import ModelParams, ModelSpec, param_shapes
 from .numerics.tensor import Tensor
 
@@ -58,62 +57,37 @@ def save_tensors(path, tensors: dict[str, Tensor], manifest: dict) -> str:
 def load_tensors(path) -> tuple[dict[str, Tensor], dict]:
     """Read a named-tensor container. Any malformed byte raises a
     DataFormatError, with the byte offset where one is known."""
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-
-        def read(n, what):
-            offset = f.tell()
-            if n > size - offset:
-                raise DataFormatError(f"truncated checkpoint while reading {what}", offset=offset)
-            return f.read(n)
-
-        def text(n, what):
-            offset = f.tell()
-            try:
-                return read(n, what).decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise DataFormatError(f"checkpoint {what} is not UTF-8", offset=offset + e.start) from None
-
-        if read(4, "magic") != MAGIC:
+    with BoundedReader(path, "checkpoint") as r:
+        if r.bytes(4, "magic") != MAGIC:
             raise DataFormatError(f"not a checkpoint file: {path}", offset=0)
-        (version,) = struct.unpack("<B", read(1, "version"))
+        (version,) = struct.unpack("<B", r.bytes(1, "version"))
         if version != VERSION:
             raise DataFormatError(f"unsupported checkpoint version {version}", offset=4)
-        (manifest_len,) = struct.unpack("<I", read(4, "manifest length"))
-        start = f.tell()
-        blob = text(manifest_len, "manifest")
-        try:
-            manifest = json.loads(blob)
-        except json.JSONDecodeError as e:
-            offset = start + len(blob[: e.pos].encode("utf-8"))
-            raise DataFormatError(f"checkpoint manifest is not JSON: {e.msg}", offset=offset) from None
-        except RecursionError:
-            raise DataFormatError("checkpoint manifest nests too deeply to read", offset=start) from None
+        (manifest_len,) = struct.unpack("<I", r.bytes(4, "manifest length"))
+        manifest = r.json(manifest_len, "manifest")
         entries = manifest.get("tensors", []) if isinstance(manifest, dict) else None
         if not isinstance(entries, list) or not all(
             isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], list) for e in entries
         ):
             raise DataFormatError("checkpoint manifest is not an object listing [name, shape] tensor pairs",
-                                  offset=start)
+                                  offset=9)  # the manifest starts after the 9-byte header
         tensors: dict[str, Tensor] = {}
         for name, shape in entries:
-            (name_len,) = struct.unpack("<H", read(2, "tensor name length"))
-            stored = text(name_len, "tensor name")
+            (name_len,) = struct.unpack("<H", r.bytes(2, "tensor name length"))
+            stored = r.text(name_len, "tensor name")
             if stored != name:
                 raise DataFormatError(f"tensor order mismatch: manifest says {name!r}, file has {stored!r}")
-            (ndim,) = struct.unpack("<B", read(1, "tensor rank"))
-            dims = struct.unpack(f"<{ndim}I", read(4 * ndim, "tensor dims"))
+            (ndim,) = struct.unpack("<B", r.bytes(1, "tensor rank"))
+            dims = struct.unpack(f"<{ndim}I", r.bytes(4 * ndim, "tensor dims"))
             if list(dims) != shape:
                 raise DataFormatError(f"shape mismatch for {name!r}: manifest {shape}, file {list(dims)}")
-            start = f.tell()
-            values = np.frombuffer(read(8 * math.prod(dims), f"tensor {name!r} payload"), dtype="<f8")
+            start = r.file.tell()
+            values = np.frombuffer(r.bytes(8 * math.prod(dims), f"tensor {name!r} payload"), dtype="<f8")
             finite = np.isfinite(values)
             if not finite.all():
                 raise DataFormatError(f"tensor {name!r} holds a non-finite value",
                                       offset=start + 8 * int(np.argmin(finite)))
             tensors[name] = Tensor._wrap(values.reshape(dims))
-        if f.read(1):
-            raise DataFormatError("trailing bytes after last tensor", offset=f.tell() - 1)
     return tensors, manifest
 
 

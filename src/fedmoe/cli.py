@@ -24,7 +24,7 @@ from . import __version__, checkpoint, data, evaluation, federation, models, per
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, DegenerateClientError, FedmoeError
 from .federation import derive_seed
-from .fileio import atomic_open
+from .fileio import BoundedReader, atomic_open, read_json
 from .numerics.tensor import Tensor
 
 log = logging.getLogger("fedmoe")
@@ -64,19 +64,12 @@ def _partition_path(cfg: ExperimentConfig) -> Path:
 
 def load_partition(cfg: ExperimentConfig, train: data.LabeledDataset) -> data.ClientPartition:
     """The saved partition, checked against the configuration and the training set."""
-    path = _partition_path(cfg)
-    if not path.exists():
-        raise ConfigError(
-            f"partition file {path} does not exist; run `fedmoe partition --config ...` first"
-        )
+    path, rerun = _partition_path(cfg), "re-run `fedmoe partition --config ...`"
 
     def invalid(problem: str) -> ConfigError:
-        return ConfigError(f"partition file {path} {problem}; re-run `fedmoe partition --config ...`")
+        return ConfigError(f"partition file {path} {problem}; {rerun}")
 
-    try:
-        blob = json.loads(path.read_text())
-    except ValueError as e:  # malformed JSON or text
-        raise invalid(f"is not valid JSON ({e})") from None
+    blob = read_json(path, "partition file", rerun)
     if not isinstance(blob, dict) or "dataset_size" not in blob or "clients" not in blob:
         raise invalid("lacks the `dataset_size` or the `clients` key")
     size, clients = blob["dataset_size"], blob["clients"]
@@ -270,18 +263,12 @@ def _check_checkpoint(cfg: ExperimentConfig, ckpt_path: Path) -> None:
     the configuration this run has."""
     manifest_path = cfg.out_dir / "manifest_fedavg.json"
     rerun = "re-run `fedmoe fedavg --config ...`"
-    try:
-        manifest = json.loads(manifest_path.read_text())
-        recorded = manifest["checkpoint_sha256"]
-    except FileNotFoundError:
-        raise ConfigError(
-            f"{manifest_path} does not exist, so checkpoint {ckpt_path} cannot be checked; {rerun}"
-        ) from None
-    except (ValueError, KeyError, TypeError):
-        raise ConfigError(
-            f"{manifest_path} records no checkpoint_sha256 for checkpoint {ckpt_path}; {rerun}"
-        ) from None
-    actual = hashlib.sha256(ckpt_path.read_bytes()).hexdigest()
+    manifest = read_json(manifest_path, f"checkpoint {ckpt_path}'s fedavg manifest", rerun)
+    recorded = manifest.get("checkpoint_sha256") if isinstance(manifest, dict) else None
+    if recorded is None:
+        raise ConfigError(f"{manifest_path} records no checkpoint_sha256 for checkpoint {ckpt_path}; {rerun}")
+    with BoundedReader(ckpt_path, "checkpoint", rerun) as r:
+        actual = hashlib.sha256(r.bytes(r.size, "its bytes")).hexdigest()
     if actual != recorded:
         raise ConfigError(
             f"checkpoint {ckpt_path} has sha256 {actual}, but {manifest_path} records {recorded}; "
@@ -318,8 +305,6 @@ def cmd_personalize(cfg: ExperimentConfig, algorithm: str) -> int:
     train, test = build_datasets(cfg)
     partition = load_partition(cfg, train)
     ckpt_path = cfg.out_dir / "checkpoint.ckpt"
-    if not ckpt_path.exists():
-        raise ConfigError(f"checkpoint {ckpt_path} does not exist; run `fedmoe fedavg --config ...` first")
     _check_checkpoint(cfg, ckpt_path)
     global_params, _ = checkpoint.load_model(ckpt_path)
     if global_params.spec != cfg.model:

@@ -205,6 +205,8 @@ def load_config(path, seed_override: int | None = None, workers_override: int | 
         raise ConfigError(f"malformed config file {path}: {e}") from None
     if not found:
         raise ConfigError(f"config file not found: {path}")
+    if parser.defaults():  # configparser would lay these keys over every section
+        raise ConfigError(f"DEFAULT: unknown section; move {', '.join(parser.defaults())} to the sections they set")
     known_sections = set(DEFAULTS) | {f"personalization.{alg}" for alg in _ADAPTED}
     for section in parser.sections():
         if section == "personalization.local":

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, DegenerateClientError
+from .fileio import BoundedReader
 from .numerics.tensor import Tensor
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -152,47 +154,22 @@ def split_per_gate(client_indices, ratio: float, seed: int) -> ClientSplit:
     )
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    offset = f.tell()
-    buf = f.read(n)
-    if len(buf) != n:
-        raise DataFormatError(f"truncated file while reading {what}", offset=offset)
-    return buf
-
-
-def _require_positive(path, *fields: tuple[int, str, int]) -> None:
-    """Every (offset, name, value) header dimension must be positive."""
-    for offset, name, value in fields:
-        if value <= 0:
-            raise DataFormatError(f"header {name} must be positive, got {value} in {path}", offset=offset)
+def _read_idx(path, magic: int, kind: str, *dims: str) -> tuple[tuple[int, ...], np.ndarray]:
+    """One IDX file: magic, a positive count of ``kind`` entries and ``dims``, one byte per value."""
+    with BoundedReader(path, "IDX file") as r:
+        found, *sizes = struct.unpack(f">{2 + len(dims)}i", r.bytes(8 + 4 * len(dims), f"{kind} header"))
+        if found != magic:
+            raise DataFormatError(f"bad {kind} magic 0x{found:08x}, expected 0x{magic:08x} in {path}", offset=0)
+        for offset, name, value in zip(range(4, 16, 4), (f"{kind} count", *dims), sizes):
+            if value <= 0:
+                raise DataFormatError(f"header {name} must be positive, got {value} in {path}", offset=offset)
+        return tuple(sizes), np.frombuffer(r.bytes(math.prod(sizes), f"{sizes[0]} {kind}s"), dtype=np.uint8)
 
 
 def load_idx(images_path, labels_path, classes: int | None = None) -> LabeledDataset:
     """Load an IDX image/label pair (big-endian headers, one byte per pixel)."""
-    try:
-        with open(images_path, "rb") as f:
-            magic, count, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, "image header"))
-            if magic != IDX_IMAGE_MAGIC:
-                raise DataFormatError(
-                    f"bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x} in {images_path}", offset=0
-                )
-            _require_positive(images_path, (4, "image count", count), (8, "rows", rows), (12, "columns", cols))
-            pixels = np.frombuffer(_read_exact(f, count * rows * cols, f"{count} images"), dtype=np.uint8)
-            if f.read(1):
-                raise DataFormatError(f"trailing bytes after {count} images in {images_path}", offset=f.tell() - 1)
-        with open(labels_path, "rb") as f:
-            magic, label_count = struct.unpack(">ii", _read_exact(f, 8, "label header"))
-            if magic != IDX_LABEL_MAGIC:
-                raise DataFormatError(
-                    f"bad label magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x} in {labels_path}", offset=0
-                )
-            _require_positive(labels_path, (4, "label count", label_count))
-            labels = np.frombuffer(_read_exact(f, label_count, f"{label_count} labels"), dtype=np.uint8)
-            if f.read(1):
-                raise DataFormatError(f"trailing bytes after {label_count} labels in {labels_path}",
-                                      offset=f.tell() - 1)
-    except OSError as e:
-        raise ConfigError(f"cannot read IDX file {e.filename}: {e.strerror}") from None
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", "rows", "columns")
+    (label_count,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label")
     if count != label_count:
         raise DataFormatError(f"{count} images but {label_count} labels ({images_path}, {labels_path})")
     features = (pixels.astype(np.float64) / 255.0).reshape(count, 1, rows, cols)

@@ -14,7 +14,7 @@ class ConfigError(FedmoeError):
 
 
 class DataFormatError(FedmoeError):
-    """Malformed on-disk data (IDX files, checkpoints)."""
+    """Malformed on-disk data: IDX files, checkpoints, metrics CSVs and the JSON run files."""
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:

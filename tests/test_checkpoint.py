@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from fedmoe import checkpoint, models
-from fedmoe.errors import DataFormatError, FedmoeError
+from fedmoe.errors import ConfigError, DataFormatError
 from fedmoe.numerics import Tensor
+from mutants import assert_every_mutant_loads_or_raises_a_typed_error
 
 
 SPEC = models.ModelSpec("mlp", channels=1, classes=5, hidden_sizes=(9,))
@@ -122,7 +123,8 @@ def test_model_spec_must_give_exactly_its_fields(tmp_path, change):
     (11, b'{"\xff": 1}', "manifest is not UTF-8"),
     (9, b"[1, 2]", r"not an object listing \[name, shape\]"),
     (9, b"[" * 100_000, "nests too deeply"),
-], ids=["not JSON", "not UTF-8", "not an object", "nested too deeply"])
+    (9, b'{"round": ' + b"1" * 5000 + b"}", "manifest is not JSON: Exceeds the limit"),
+], ids=["not JSON", "not UTF-8", "not an object", "nested too deeply", "integer too long"])
 def test_unreadable_manifest_is_a_typed_error_at_its_offset(tmp_path, at, blob, message):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"FMCK" + struct.pack("<BI", 1, len(blob)) + blob)
@@ -140,6 +142,15 @@ def test_non_finite_payload_is_a_typed_error_at_its_offset(tmp_path):
         checkpoint.load_tensors(path)
 
 
+def test_trailing_byte_is_a_typed_error_at_its_offset(tmp_path):
+    path = tmp_path / "x.ckpt"
+    checkpoint.save_tensors(path, {"x": Tensor(np.zeros(3))}, {"kind": "raw"})
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(DataFormatError, match=f"trailing bytes after tensor 'x' payload .*at byte offset {size}"):
+        checkpoint.load_tensors(path)
+
+
 def test_model_spec_field_of_the_wrong_type_is_a_typed_error(tmp_path):
     spec = {"architecture": "mlp", "channels": "1", "side": 32, "classes": 5, "hidden_sizes": [9]}
     path = tmp_path / "model.ckpt"
@@ -152,18 +163,9 @@ def test_every_truncation_and_seeded_byte_substitution_loads_or_raises_a_typed_e
     spec = models.ModelSpec("mlp", channels=1, side=4, classes=3, hidden_sizes=(5,))
     path = tmp_path / "model.ckpt"
     checkpoint.save_model(path, models.build_model(spec, seed=8), extra={"round": 2, "accuracy": 0.5})
-    good = path.read_bytes()
-    rng = np.random.default_rng(20261019)
-    mutants = [good[:n] for n in range(len(good))]
-    for at, byte in zip(rng.integers(0, len(good), size=3000), rng.integers(0, 256, size=3000)):
-        mutants.append(good[:at] + bytes([byte]) + good[at + 1:])
-    escapes = []
-    for i, blob in enumerate(mutants):
-        path.write_bytes(blob)
-        try:
-            checkpoint.load_model(path)
-        except FedmoeError:
-            pass
-        except Exception as e:  # noqa: BLE001 - any other type is the failure under test
-            escapes.append(f"mutant {i}: {type(e).__name__}: {e}")
-    assert not escapes, f"{len(escapes)} of {len(mutants)} escaped, first: {escapes[:3]}"
+    assert_every_mutant_loads_or_raises_a_typed_error(path, lambda: checkpoint.load_model(path), seed=20261019)
+
+
+def test_directory_in_place_of_a_checkpoint_is_a_typed_error(tmp_path):
+    with pytest.raises(ConfigError, match=f"cannot read checkpoint {tmp_path}: Is a directory"):
+        checkpoint.load_tensors(tmp_path)

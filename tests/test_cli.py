@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from fedmoe import checkpoint, cli, data, evaluation, personalization
+from fedmoe.config import load_config
 from fedmoe.numerics import Tensor
+from mutants import assert_every_mutant_loads_or_raises_a_typed_error
 
 CONFIG = """
 [run]
@@ -477,7 +479,69 @@ def test_unreadable_input_is_an_error_line(tmp_path, capsys, case):
     assert err.startswith("error: " + message) and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("case", ["percent in a value", "negative seed flag"])
+# The run files each command reads: the commands that write them, then the one that reads them.
+RUN_FILES = {
+    "partition.json": ([["partition"]], ["fedavg"]),
+    "manifest_fedavg.json": ([["partition"], ["fedavg"]], ["personalize", "--algorithm", "pfl_fb"]),
+    "checkpoint.ckpt": ([["partition"], ["fedavg"]], ["personalize", "--algorithm", "pfl_fb"]),
+}
+
+
+@pytest.mark.parametrize("name", [*RUN_FILES, "IDX file", "metrics CSV"])
+def test_directory_in_place_of_an_input_is_an_error_line(workspace, capsys, name):
+    config, out = workspace
+    if name in RUN_FILES:
+        writers, reader = RUN_FILES[name]
+        for command in writers:
+            run([*command, "--config", config])
+        path, args = out / name, [*reader, "--config", config]
+        path.unlink()
+    elif name == "IDX file":
+        keys = ("train_images", "train_labels", "test_images", "test_labels")
+        idx = "".join(f"{key} = {config.parent / key}\n" for key in keys)
+        config.write_text(CONFIG.format(out=out).replace("source = synthetic", f"source = idx\n{idx}"))
+        path, args = config.parent / "train_images", ["partition", "--config", config]
+    else:
+        path, args = out / "metrics_local.csv", ["report", out / "metrics_local.csv", "--out", out]
+    path.mkdir(parents=True)
+    assert cli.main([str(a) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and f"{path}: Is a directory" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["partition.json", "manifest_fedavg.json"])
+def test_json_run_file_nested_too_deeply_is_an_error_line(workspace, capsys, name):
+    config, out = workspace
+    writers, reader = RUN_FILES[name]
+    for command in writers:
+        run([*command, "--config", config])
+    (out / name).write_text("[" * 100_000)
+    assert cli.main([*reader, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{out / name}: text nests too deeply to read; re-run `fedmoe " in err and "(at byte offset 0)" in err
+
+
+def test_every_partition_mutant_loads_or_raises_a_typed_error(workspace):
+    config, out = workspace
+    run(["partition", "--config", config])
+    cfg = load_config(config)
+    train, _ = cli.build_datasets(cfg)
+    assert_every_mutant_loads_or_raises_a_typed_error(out / "partition.json", lambda: cli.load_partition(cfg, train),
+                                                      seed=20261022)
+
+
+def test_every_fedavg_manifest_mutant_loads_or_raises_a_typed_error(workspace):
+    config, out = workspace
+    run(["partition", "--config", config])
+    run(["fedavg", "--config", config])
+    cfg = load_config(config)
+    assert_every_mutant_loads_or_raises_a_typed_error(
+        out / "manifest_fedavg.json", lambda: cli._check_checkpoint(cfg, out / "checkpoint.ckpt"), seed=20261023
+    )
+
+
+@pytest.mark.parametrize("case", ["percent in a value", "negative seed flag", "DEFAULT section"])
 def test_config_value_error_is_an_error_line(tmp_path, capsys, case):
     # A '%' in a value is literal, so '6%' is a value that is not an integer.
     config, text = tmp_path / "exp.ini", CONFIG.format(out=tmp_path / "out")
@@ -485,6 +549,10 @@ def test_config_value_error_is_an_error_line(tmp_path, capsys, case):
     if case == "percent in a value":
         config.write_text(text.replace("rounds = 6", "rounds = 6%"))
         message = "federation.rounds: expected an integer, got '6%'"
+    elif case == "DEFAULT section":
+        # configparser lays [DEFAULT]'s keys over every section, so the loader refuses it.
+        config.write_text("[DEFAULT]\nepochs = 3\n" + text)
+        message = "DEFAULT: unknown section; move epochs to the sections they set"
     else:
         config.write_text(text)
         args += ["--seed", "-1"]

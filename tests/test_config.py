@@ -1,11 +1,11 @@
 import json
 import re
 
-import numpy as np
 import pytest
 
 from fedmoe.config import DEFAULTS, load_config
-from fedmoe.errors import ConfigError, FedmoeError
+from fedmoe.errors import ConfigError
+from mutants import assert_every_mutant_loads_or_raises_a_typed_error
 
 
 BASE = """
@@ -225,20 +225,6 @@ gate_lr = 0.05
 
 
 def test_every_truncation_and_seeded_byte_substitution_loads_or_raises_a_typed_error(tmp_path):
-    good = FULL.encode()
-    load_config(write_config(tmp_path, body=FULL))
-    rng = np.random.default_rng(20261019)
-    mutants = [good[:n] for n in range(len(good))]
-    for at, byte in zip(rng.integers(0, len(good), size=3000), rng.integers(0, 256, size=3000)):
-        mutants.append(good[:at] + bytes([byte]) + good[at + 1:])
-    path = tmp_path / "mutant.ini"
-    escapes = []
-    for i, blob in enumerate(mutants):
-        path.write_bytes(blob)
-        try:
-            load_config(path)
-        except FedmoeError:
-            pass
-        except Exception as e:  # noqa: BLE001 - any other type is the failure under test
-            escapes.append(f"mutant {i}: {type(e).__name__}: {e}")
-    assert not escapes, f"{len(escapes)} of {len(mutants)} escaped, first: {escapes[:3]}"
+    path = write_config(tmp_path, body=FULL)
+    load_config(path)
+    assert_every_mutant_loads_or_raises_a_typed_error(path, lambda: load_config(path), seed=20261019)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import oracles
 from fedmoe import data
 from fedmoe.errors import ConfigError, DataFormatError, DegenerateClientError
 from fedmoe.numerics import OptimizerState, SgdConfig, Tensor, graph, sgd_step
+from mutants import assert_every_mutant_loads_or_raises_a_typed_error
 
 
 def balanced_labels_dataset(classes=10, per_class=40, seed=0):
@@ -183,6 +185,37 @@ class TestIdxFormat:
         data.write_idx(short, tmp_path / "img2", tmp_path / "lab2")
         with pytest.raises(DataFormatError, match="images but"):
             data.load_idx(tmp_path / "img2", lab)
+
+    @pytest.mark.parametrize("file", ["img", "lab"])
+    def test_every_truncation_and_seeded_byte_substitution_loads_or_raises_a_typed_error(self, tmp_path, file):
+        img, lab = tmp_path / "img", tmp_path / "lab"
+        data.write_idx(data.make_synthetic(classes=2, per_class=3, seed=0, side=6), img, lab)
+        assert_every_mutant_loads_or_raises_a_typed_error(tmp_path / file, lambda: data.load_idx(img, lab),
+                                                          seed=20261020)
+
+    def test_header_larger_than_the_file_is_refused_before_it_is_read(self, tmp_path):
+        img, lab = tmp_path / "img", tmp_path / "lab"
+        img.write_bytes(struct.pack(">iiii", data.IDX_IMAGE_MAGIC, 1000, 1000, 1000) + bytes(16))
+        lab.write_bytes(struct.pack(">ii", data.IDX_LABEL_MAGIC, 1000) + bytes(1000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match=r"truncated IDX file .* while reading 1000 images "
+                                                      r"\(at byte offset 16\)"):
+                data.load_idx(img, lab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("file, after", [("img", "4 images"), ("lab", "4 labels")])
+    def test_trailing_byte_is_refused_at_its_offset(self, tmp_path, file, after):
+        img, lab = tmp_path / "img", tmp_path / "lab"
+        data.write_idx(data.make_synthetic(classes=2, per_class=2, seed=0, side=8), img, lab)
+        path = tmp_path / file
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(DataFormatError, match=rf"trailing bytes after {after} \(at byte offset {size}\)"):
+            data.load_idx(img, lab)
 
     def test_all_zero_bytes_scale_to_zero(self, tmp_path):
         ds = data.LabeledDataset(Tensor(np.zeros((2, 1, 4, 4))), np.array([0, 1]), classes=2)

@@ -5,6 +5,7 @@ import oracles
 from fedmoe import data, evaluation
 from fedmoe.errors import EvaluationError
 from fedmoe.numerics import Tensor
+from mutants import assert_every_mutant_loads_or_raises_a_typed_error
 
 
 def onehot_oracle_predictor(ds):
@@ -214,6 +215,14 @@ class TestMetricsSerialization:
     def test_accuracy_range_validated(self):
         with pytest.raises(EvaluationError):
             evaluation.MetricsRecord("r", "local", 0, 1.5, 0.5, 0)
+
+
+def test_every_metrics_csv_mutant_loads_or_raises_a_typed_error(tmp_path):
+    records = [evaluation.MetricsRecord("seed7", "pfl_mf", cid, 0.125 * cid, 0.7 + 0.01 * cid, 7, mean_gate=0.5)
+               for cid in range(8)]
+    path = tmp_path / "metrics_pfl_mf.csv"
+    evaluation.write_metrics_csv(records, path, include_mean_gate=True)
+    assert_every_mutant_loads_or_raises_a_typed_error(path, lambda: evaluation.read_metrics_csv(path), seed=20261021)
 
 
 @pytest.mark.parametrize("write", [evaluation.write_metrics_csv, evaluation.write_metrics_jsonl],

@@ -66,7 +66,7 @@ def test_two_runs_print_the_same_digests(tmp_path, capsys):
     paths = [line.split("  ", 1)[1] for line in first]
     assert paths == sorted(paths)
     for name in ("partition.json", "checkpoint.ckpt", "rounds.csv", "manifest_pfl_mfe.json",
-                 "metrics_local.csv", "clients/pfl_mf/client_2.ckpt"):
+                 "metrics_local.csv", "clients/pfl_mf/client_2.ckpt", "report.csv", "deltas.csv"):
         assert name in paths
 
 

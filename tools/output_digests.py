@@ -1,10 +1,12 @@
 """Print the sha256 of every file the fedmoe pipeline writes for one INI.
 
-Runs ``partition``, ``fedavg`` and ``personalize`` for each of the five
-algorithms, each command in a fresh process with one BLAS thread, then
-prints one sorted ``<sha256>  <path relative to the output dir>`` line per
-file. Comparing these lines between two checkouts shows whether a change
-kept every output byte-identical::
+Runs ``partition``, ``fedavg``, ``personalize`` for each of the five
+algorithms and ``report`` over the run's ``metrics_*.csv`` (writing
+``report.csv`` and ``deltas.csv`` into the output directory), each command
+in a fresh process with one BLAS thread, then prints one sorted
+``<sha256>  <path relative to the output dir>`` line per file. Comparing
+these lines between two checkouts shows whether a change kept every output
+byte-identical::
 
     python3 tools/output_digests.py --workload lenet5 --seed 0 --out /tmp/digests --src ../parent/src > parent.txt
     rm -rf /tmp/digests
@@ -45,15 +47,20 @@ def _workload_ini(name: str, seed: int, out: Path) -> str:
 
 
 def run_pipeline(config: Path, out: Path, src: Path) -> None:
-    """Every pipeline command on one INI, one fresh single-BLAS-thread process each."""
+    """Every pipeline command on one INI, then ``report`` over its metrics
+    CSVs, one fresh single-BLAS-thread process each."""
     env = {**os.environ, "PYTHONPATH": str(src), **{v: "1" for v in THREAD_VARS}}
-    commands = [["partition"], ["fedavg"]] + [["personalize", "--algorithm", a] for a in ALGORITHMS]
-    for command in commands:
-        args = command + ["--config", str(config), "--out", str(out)]
-        code = f"import sys; from fedmoe.cli import main; sys.exit(main({args!r}))"
+
+    def run(*args: str) -> None:
+        code = f"import sys; from fedmoe.cli import main; sys.exit(main({list(args)!r}))"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         if proc.returncode != 0:
-            raise SystemExit(f"error: `fedmoe {' '.join(command)}` exited {proc.returncode}:\n{proc.stderr}")
+            raise SystemExit(f"error: `fedmoe {' '.join(args)}` exited {proc.returncode}:\n{proc.stderr}")
+
+    commands = [["partition"], ["fedavg"]] + [["personalize", "--algorithm", a] for a in ALGORITHMS]
+    for command in commands:
+        run(*command, "--config", str(config), "--out", str(out))
+    run("report", *sorted(str(p) for p in out.glob("metrics_*.csv")), "--out", str(out))
 
 
 def digests(out: Path) -> list[str]:
