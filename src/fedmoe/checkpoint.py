@@ -35,7 +35,7 @@ def save_tensors(path, tensors: dict[str, Tensor], manifest: dict) -> str:
     manifest["tensors"] = [[name, list(t.shape)] for name, t in tensors.items()]
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     digest = hashlib.sha256()
-    with atomic_open(path, "wb") as f:
+    with atomic_open(path, "checkpoint", "wb") as f:
         def write(buf: bytes):
             f.write(buf)
             digest.update(buf)

@@ -24,7 +24,7 @@ from . import __version__, checkpoint, data, evaluation, federation, models, per
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, DegenerateClientError, FedmoeError
 from .federation import derive_seed
-from .fileio import BoundedReader, atomic_open, read_json
+from .fileio import BoundedReader, atomic_open, make_dir, read_json
 from .numerics.tensor import Tensor
 
 log = logging.getLogger("fedmoe")
@@ -106,14 +106,14 @@ def _write_manifest(cfg: ExperimentConfig, name: str, extra: dict) -> None:
         "config": cfg.snapshot(),
     }
     manifest.update(extra)
-    with atomic_open(cfg.out_dir / f"manifest_{name}.json") as f:
+    with atomic_open(cfg.out_dir / f"manifest_{name}.json", "manifest") as f:
         f.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_partition(cfg: ExperimentConfig) -> int:
     train, _ = build_datasets(cfg)
     partition = data.dirichlet_partition(train, cfg.partition)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(cfg.out_dir, "output directory")
 
     blob = {
         "clients": [list(c) for c in partition.clients],
@@ -121,10 +121,10 @@ def cmd_partition(cfg: ExperimentConfig) -> int:
         "partition_seed": cfg.partition.seed,
         "dataset_size": len(train),
     }
-    with atomic_open(_partition_path(cfg)) as f:
+    with atomic_open(_partition_path(cfg), "partition") as f:
         f.write(json.dumps(blob, sort_keys=True) + "\n")
 
-    with atomic_open(cfg.out_dir / "partition_histogram.csv", newline="") as f:
+    with atomic_open(cfg.out_dir / "partition_histogram.csv", "partition histogram", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["client_id"] + [f"class_{c}" for c in range(train.classes)] + ["total"])
         for cid, indices in enumerate(partition.clients):
@@ -146,7 +146,7 @@ def cmd_fedavg(cfg: ExperimentConfig) -> int:
         train, partition, cfg.model, cfg.federation, eval_fn, workers=cfg.workers
     )
 
-    with atomic_open(cfg.out_dir / "rounds.csv", newline="") as f:
+    with atomic_open(cfg.out_dir / "rounds.csv", "round log", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["round", "sampled_clients", "global_acc"])
         for record in result.rounds:
@@ -327,7 +327,7 @@ def cmd_personalize(cfg: ExperimentConfig, algorithm: str) -> int:
         features = evaluation.batched(lambda x: models.extract_features(global_params, x), test.features)
 
     artifact_dir = cfg.out_dir / "clients" / algorithm
-    artifact_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(artifact_dir, "client checkpoint directory")
     scores = []
     for client in clients:
         cid = client.client_id
@@ -340,6 +340,14 @@ def cmd_personalize(cfg: ExperimentConfig, algorithm: str) -> int:
             artifact.update({f"gate.{name}": t for name, t in client.gate.items()})
             extra["gate_input_mode"] = personalization.GATE_INPUT[algorithm]
         checkpoint.save_tensors(artifact_dir / f"client_{cid}.ckpt", artifact, extra)
+    # A run over fewer clients must not leave an earlier run's checkpoints behind.
+    written = {f"client_{cid}.ckpt" for cid, *_ in scores}
+    for stale in sorted(artifact_dir.glob("client_*.ckpt")):
+        if stale.name not in written:
+            try:
+                stale.unlink()
+            except OSError as e:
+                raise ConfigError(f"cannot remove stale client checkpoint {stale}: {e.strerror or e}") from None
 
     records = _metrics_records(cfg, algorithm, train, partition, scores)
     evaluation.write_metrics_csv(records, cfg.out_dir / f"metrics_{algorithm}.csv", include_mean_gate=is_moe)
@@ -360,14 +368,14 @@ def cmd_report(metric_paths: list[str], out_dir: Path) -> int:
         raise ConfigError("report: no metrics records found in the given files")
     summary = evaluation.summarize(records)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_open(out_dir / "report.csv", newline="") as f:
+    make_dir(out_dir, "report directory")
+    with atomic_open(out_dir / "report.csv", "report", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["algorithm", "clients", "mean_local_acc", "mean_global_acc"])
         for row in summary.rows:
             writer.writerow([row.algorithm, row.clients, f"{row.mean_local_acc:.10f}", f"{row.mean_global_acc:.10f}"])
 
-    with atomic_open(out_dir / "deltas.csv", newline="") as f:
+    with atomic_open(out_dir / "deltas.csv", "deltas", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["algorithm", "client_id", "local_acc_delta", "global_acc_delta"])
         for alg in sorted(summary.deltas):
@@ -526,7 +534,7 @@ def main(argv=None) -> int:
             return cmd_report(args.metrics, Path(args.out))
         cfg = load_config(args.config, seed_override=args.seed, workers_override=args.workers,
                           out_override=args.out)
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        make_dir(cfg.out_dir, "output directory")
         if args.command == "partition":
             return cmd_partition(cfg)
         if args.command == "fedavg":

@@ -104,7 +104,7 @@ class MetricsRecord:
 
 def write_metrics_csv(records: Iterable[MetricsRecord], path, include_mean_gate: bool = False) -> None:
     fields = METRICS_CSV_FIELDS + (("mean_g",) if include_mean_gate else ())
-    with atomic_open(path, newline="") as f:
+    with atomic_open(path, "metrics", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(fields)
         for r in records:
@@ -156,7 +156,7 @@ def _metrics_record(path, line: int, row: dict) -> MetricsRecord:
 
 
 def write_metrics_jsonl(records: Iterable[MetricsRecord], path) -> None:
-    with atomic_open(path) as f:
+    with atomic_open(path, "metrics") as f:
         for r in records:
             row = asdict(r)
             mean_g = row.pop("mean_gate")

@@ -12,23 +12,44 @@ from pathlib import Path
 from .errors import ConfigError, DataFormatError
 
 
+def _cannot_write(what: str, path, e: OSError) -> ConfigError:
+    return ConfigError(f"cannot write {what} {path}: {e.strerror or e}")
+
+
 @contextmanager
-def atomic_open(path, mode: str = "w", **kwargs):
+def atomic_open(path, what: str, mode: str = "w", **kwargs):
     """Open a temporary file beside ``path`` that replaces it on success.
 
     ``mode`` and ``kwargs`` go to :func:`open`. If the body raises, the
     temporary file is removed and any earlier file at ``path`` is left as it
     was, so a failed or interrupted write never leaves a truncated artifact.
+    An ``OSError`` on the way (no space, no permission, a directory at
+    ``path``) is a ``ConfigError("cannot write <what> <path>: <reason>")``.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, mode, **kwargs) as f:
+        f = open(tmp, mode, **kwargs)
+    except OSError as e:
+        raise _cannot_write(what, path, e) from None
+    try:
+        with f:
             yield f
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError):
+            raise _cannot_write(what, path, e) from None
         raise
+
+
+def make_dir(path, what: str) -> None:
+    """``path`` and its parents, made if missing; an ``OSError`` (a file at
+    ``path``, say) is a ``ConfigError`` as in :func:`atomic_open`."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise _cannot_write(what, path, e) from None
 
 
 class BoundedReader(AbstractContextManager):

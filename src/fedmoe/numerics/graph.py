@@ -82,15 +82,15 @@ def dense(x: Value, w: Value, b: Value) -> Value:
 
 def conv2d(x: Value, k: Value, b: Value) -> Value:
     khw = (k.data.shape[2], k.data.shape[3])
-    if k.tracked:  # keep the patch matrix for the kernel gradient
-        out, cols = kernels.conv2d(x.data, k.data, b.data, keep_cols=True)
+    if k.tracked:  # keep the row buffer for the kernel gradient
+        out, rows = kernels.conv2d(x.data, k.data, b.data, keep_rows=True)
     else:
-        out, cols = kernels.conv2d(x.data, k.data, b.data), None
+        out, rows = kernels.conv2d(x.data, k.data, b.data), None
 
     def backward(g):
         return (
             kernels.conv2d_input_grad(g, k.data) if x.tracked else None,
-            kernels.conv2d_kernel_grad(x.data, g, khw, cols) if k.tracked else None,
+            kernels.conv2d_kernel_grad(x.data, g, khw, rows) if k.tracked else None,
             g.sum(axis=(0, 2, 3)) if b.tracked else None,
         )
 

@@ -7,38 +7,35 @@ clients' batches, each slice computed as on its own.
 
 Memory order of the conv and pool kernels: their arguments and results
 have NCHW shapes, (N, C, H, W), and they accept any strides. What they
-return is an NCHW view of a batch-innermost buffer, (C, H, W, N) in
-memory, so each im2col copy, pool slice and col2im add runs over ow*N or
-N contiguous values, and the next kernel reads it without a copy. A
-kernel's result does not depend on the memory order of its inputs, bit
-for bit. The (N, 400) features leave this order through
-``graph.flatten``'s reshape, which copies them into row-major order.
+return is an NCHW view of a batch-innermost buffer, (C, H, W, N) in memory,
+so each copy, pool slice and add runs over ow*N or N contiguous values, and
+the next kernel reads it without a copy. A kernel's result does not depend
+on the memory order of its inputs, bit for bit. The (N, 400) features leave
+this order through ``graph.flatten``'s reshape, a row-major copy.
+
+Convolutions lower to GEMMs through a row buffer (MEC; Cho and Brand 2017,
+arXiv 1706.06873), E[h, c, q, j, n] = x[n, c, h, j+q] of shape
+(H, C, kw, ow, N): 5x the input where an im2col patch matrix is 25x. Any kh
+consecutive rows of E are one contiguous (kh*C*kw, ow*N) matrix, so each
+output row is one GEMM on it, whose shape does not depend on the block of
+rows around it. Against im2col this changes conv2's summation order (the
+last bits of its forward and both gradients); conv1's forward (C = 1) keeps
+its bits.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x @ w + b[..., None, :]
 
 
-def _im2col(x: np.ndarray, khw: tuple[int, int]) -> np.ndarray:
-    """Patch matrix of a valid stride-1 convolution: shape (C*kh*kw, oh*ow*N),
-    rows ordered (c, p, q) to match ``k.reshape(F, -1)``, columns (i, j, n).
-    On a batch-innermost ``x`` the copy reads runs of ow*N values."""
-    windows = sliding_window_view(x.transpose(1, 2, 3, 0), khw, axis=(1, 2))  # (C, oh, ow, N, kh, kw)
-    c, oh, ow, n = windows.shape[:4]
-    return windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * khw[0] * khw[1], oh * ow * n)
-
-
-# Inference convolves about this many images' worth of patch-matrix columns
-# per GEMM, so the patch matrix stays cache-sized at large batches.
-CONV_BLOCK = 32
+# Inference builds the row buffer for a block of output rows at a time, at
+# most this many doubles (8 MB), so it stays cache-sized at large batches.
+ROW_BLOCK = 1 << 20
 
 
 def _batch_innermost(a: np.ndarray) -> np.ndarray:
@@ -47,75 +44,78 @@ def _batch_innermost(a: np.ndarray) -> np.ndarray:
     if a.transpose(1, 2, 3, 0).flags.c_contiguous:
         return a
     out = np.empty(a.shape[1:] + a.shape[:1])
-    # CONV_BLOCK images at a time: a whole-batch copy reads with a stride of
-    # one image and took three times as long at 400 images.
-    for lo in range(0, a.shape[0], CONV_BLOCK):
-        out[..., lo : lo + CONV_BLOCK] = a[lo : lo + CONV_BLOCK].transpose(1, 2, 3, 0)
+    # 32 images at a time: a whole-batch copy, read at a stride of one image, took 3x as long at 400.
+    for lo in range(0, a.shape[0], 32):
+        out[..., lo : lo + 32] = a[lo : lo + 32].transpose(1, 2, 3, 0)
     return out.transpose(3, 0, 1, 2)
 
 
-def conv2d(x: np.ndarray, k: np.ndarray, b: np.ndarray, *, keep_cols: bool = False):
-    """Valid cross-correlation, stride 1: out[n,f,i,j] = sum_cpq x[n,c,i+p,j+q] k[f,c,p,q] + b[f].
+def row_buffer(x: np.ndarray, kw: int) -> np.ndarray:
+    """The row buffer E of ``x``: kw copies of runs of ow*N values."""
+    n, c, h, w = x.shape
+    rows, xt = np.empty((h, c, kw, w - kw + 1, n)), x.transpose(2, 1, 3, 0)
+    for q in range(kw):
+        rows[:, :, q] = xt[:, :, q : q + w - kw + 1]
+    return rows
 
-    ``x`` may have any strides; one that is not batch-innermost is copied to
-    that order first. ``out`` is an NCHW view of an (F, oh, ow, N) buffer,
-    which the GEMM writes in place.
 
-    With ``keep_cols`` the whole batch is one GEMM and the call returns
-    ``(out, cols)``, the patch matrix for :func:`conv2d_kernel_grad`.
-    Otherwise the output rows run in blocks over all N images, each block
-    at most CONV_BLOCK images' worth of columns or one row, and the call
-    returns ``out``. The rows per block are rounded up, to at most twice
-    as many, so that every block starts at a multiple of 8 columns, the
-    width of OpenBLAS's AVX-512 DGEMM tiles: each column then keeps its
-    place in its tile, and the output equals one GEMM's bit for bit. A block
-    starting elsewhere changed the last bit of some outputs; that remains
-    possible only at conv2's shape for odd batches above 160 images.
-    """
-    f, _, kh, kw = k.shape
+def _windows(rows: np.ndarray, kh: int) -> np.ndarray:
+    """(oh, kh*C*kw, ow*N) view of a row buffer: output row i's operand."""
+    h, c, kw, ow, n = rows.shape
+    return as_strided(rows, (h - kh + 1, kh * c * kw, ow * n), rows.strides[::2], writeable=False)
+
+
+def _by_row(dy: np.ndarray) -> np.ndarray:
+    """(oh, F, ow*N) view of a batch-innermost copy of dy (N, F, oh, ow)."""
+    n, f, oh, ow = dy.shape
+    return _batch_innermost(dy).transpose(1, 2, 3, 0).reshape(f, oh, ow * n).transpose(1, 0, 2)
+
+
+def conv2d(x: np.ndarray, k: np.ndarray, b: np.ndarray, *, keep_rows: bool = False):
+    """Valid cross-correlation, stride 1: out[n,f,i,j] = sum_pcq k[f,c,p,q] x[n,c,i+p,j+q] + b[f].
+
+    One GEMM per output row, kmat @ E[i:i+kh], with kmat's columns in (p, c, q)
+    order, writes the (F, oh, ow, N) output in place. With ``keep_rows`` the
+    call builds the whole batch's row buffer and returns ``(out, rows)`` for
+    :func:`conv2d_kernel_grad`; otherwise it runs blocks of output rows whose
+    row buffers hold at most ROW_BLOCK doubles, and returns ``out``."""
+    f, c, kh, kw = k.shape
     n, oh, ow = x.shape[0], x.shape[2] - kh + 1, x.shape[3] - kw + 1
-    x, out = _batch_innermost(x), np.empty((f, oh, ow, n))
-    step = oh if keep_cols else max(CONV_BLOCK * oh // n, 1)
-    align = 8 // math.gcd(ow * n, 8)  # rows in the fewest whole rows that span a multiple of 8 columns
-    aligned = -(-step // align) * align
-    bounds = [*range(0, oh, aligned if aligned <= 2 * step else step), oh]
-    kmat, flat = k.reshape(f, -1), out.reshape(f, -1)
-    for lo, hi in zip(bounds, bounds[1:]):
-        cols = None  # free the last block's patch matrix before building this one
-        cols = _im2col(x[:, :, lo : hi + kh - 1], (kh, kw))
-        block = flat[:, lo * ow * n : hi * ow * n]
-        np.matmul(kmat, cols, out=block)
+    x, out, kmat = _batch_innermost(x), np.empty((f, oh, ow * n)), k.transpose(0, 2, 1, 3).reshape(f, -1)
+    step = oh if keep_rows else max(ROW_BLOCK // (c * kw * ow * n) - kh + 1, 1)
+    for lo in range(0, oh, step):
+        rows = None  # free the last block's buffer before building this one
+        rows = row_buffer(x[:, :, lo : lo + step + kh - 1], kw)
+        block = out[:, lo : lo + step].transpose(1, 0, 2)
+        np.matmul(kmat, _windows(rows, kh), out=block)
         block += b[:, None]
-    out = out.transpose(3, 0, 1, 2)
-    return (out, cols) if keep_cols else out
+    out = out.reshape(f, oh, ow, n).transpose(3, 0, 1, 2)
+    return (out, rows) if keep_rows else out
 
 
 def conv2d_input_grad(dy: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Gradient of conv2d with respect to its input, as an NCHW view of a
-    (C, H, W, N) buffer."""
-    # GEMM into patch space, then col2im: each kernel offset (p, q) adds its
-    # patch-space slice, (C, oh, ow, N), back onto the input positions it
-    # read, in runs of ow*N values.
+    """Gradient of conv2d with respect to its input: kmat.T @ dy_i for each
+    output row i into row space, then kh adds of contiguous slabs fold that
+    into the row buffer's gradient and kw adds of ow*N runs fold it into dx."""
     n, f, oh, ow = dy.shape
     c, kh, kw = k.shape[1:]
-    cols = (k.reshape(f, -1).T @ dy.transpose(1, 2, 3, 0).reshape(f, -1)).reshape(c, kh, kw, oh, ow, n)
-    dx = np.zeros((c, oh + kh - 1, ow + kw - 1, n))
+    grads = np.matmul(k.transpose(0, 2, 1, 3).reshape(f, -1).T, _by_row(dy)).reshape(oh, kh, c, kw, ow, n)
+    drows = np.zeros((oh + kh - 1, c, kw, ow, n))
     for p in range(kh):
-        for q in range(kw):
-            dx[:, p : p + oh, q : q + ow] += cols[:, p, q]
+        drows[p : p + oh] += grads[:, p]
+    dx = np.zeros((c, oh + kh - 1, ow + kw - 1, n))
+    for q in range(kw):
+        dx[:, :, q : q + ow] += drows[:, :, q].transpose(1, 0, 2, 3)
     return dx.transpose(3, 0, 1, 2)
 
 
-def conv2d_kernel_grad(
-    x: np.ndarray, dy: np.ndarray, khw: tuple[int, int], cols: np.ndarray | None = None
-) -> np.ndarray:
-    """``cols`` is ``x``'s patch matrix if the forward pass kept it. The sum
-    runs over (i, j, n); a batch-innermost ``dy`` is read without a copy."""
-    f = dy.shape[1]
-    if cols is None:
-        cols = _im2col(x, khw)
-    dk = dy.transpose(1, 2, 3, 0).reshape(f, -1) @ cols.T
-    return dk.reshape(f, x.shape[1], khw[0], khw[1])
+def conv2d_kernel_grad(x: np.ndarray, dy: np.ndarray, khw: tuple[int, int], rows: np.ndarray | None = None):
+    """``rows`` is ``x``'s row buffer if the forward pass kept it; the rows' GEMMs add up in row order."""
+    (kh, kw), f, c = khw, dy.shape[1], x.shape[1]
+    if rows is None:
+        rows = row_buffer(_batch_innermost(x), kw)
+    dk = np.matmul(_by_row(dy), _windows(rows, kh).transpose(0, 2, 1)).sum(axis=0)
+    return np.ascontiguousarray(dk.reshape(f, kh, c, kw).transpose(0, 2, 1, 3))
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -1,10 +1,14 @@
+import builtins
+import errno
 import hashlib
+import os
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from fedmoe import checkpoint, models
+from fedmoe import checkpoint, fileio, models
 from fedmoe.errors import ConfigError, DataFormatError
 from fedmoe.numerics import Tensor
 from mutants import assert_every_mutant_loads_or_raises_a_typed_error
@@ -86,6 +90,43 @@ def test_failed_write_leaves_the_earlier_checkpoint_intact(tmp_path):
     before = path.read_bytes()
     with pytest.raises(RuntimeError, match="payload unavailable"):
         checkpoint.save_tensors(path, {**params.tensors, "late": _UnreadablePayload()}, {"kind": "model"})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+class _FullDisk:
+    """An open file whose writes fail as on a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_):
+        self.f.close()
+
+    def write(self, _):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _refuse_replace(src, dst):
+    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(dst))
+
+
+@pytest.mark.parametrize("patch, reason", [
+    (lambda m: m.setattr(fileio, "open", lambda *a, **k: _FullDisk(builtins.open(*a, **k)), raising=False),
+     "No space left on device"),
+    (lambda m: m.setattr(fileio.os, "replace", _refuse_replace), "Permission denied"),
+], ids=["ENOSPC on write", "EACCES on replace"])
+def test_write_error_is_a_typed_error_and_leaves_the_earlier_checkpoint(tmp_path, monkeypatch, patch, reason):
+    params = models.build_model(SPEC, seed=4)
+    path = tmp_path / "model.ckpt"
+    checkpoint.save_model(path, params)
+    before = path.read_bytes()
+    patch(monkeypatch)
+    with pytest.raises(ConfigError, match=f"^cannot write checkpoint {re.escape(str(path))}: {reason}$"):
+        checkpoint.save_model(path, models.build_model(SPEC, seed=5))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 

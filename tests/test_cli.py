@@ -1,7 +1,12 @@
+import hashlib
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -561,6 +566,39 @@ def test_config_value_error_is_an_error_line(tmp_path, capsys, case):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_directory_at_an_output_path_is_an_error_line(workspace, capsys):
+    config, out = workspace
+    (out / "partition.json").mkdir(parents=True)
+    assert cli.main(["partition", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write partition {out / 'partition.json'}: Is a directory\n"
+    assert sorted(p.name for p in out.iterdir()) == ["partition.json"]  # no temporary file left
+
+
+def test_report_out_naming_a_file_is_an_error_line(workspace, capsys):
+    config, out = workspace
+    for command in (["partition"], ["fedavg"], ["personalize", "--algorithm", "local"]):
+        run([*command, "--config", config])
+    target = out / "report"
+    target.write_text("a file\n")
+    assert cli.main(["report", str(out / "metrics_local.csv"), "--out", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write report directory {target}: File exists\n"
+
+
+def test_rerun_with_fewer_clients_leaves_only_its_own_client_checkpoints(tmp_path):
+    def personalize(out, clients):
+        config = tmp_path / f"{clients}.ini"
+        config.write_text(CONFIG.format(out=out).replace("clients = 6", f"clients = {clients}"))
+        for command in (["partition"], ["fedavg"], ["personalize", "--algorithm", "pfl_fb"]):
+            run([*command, "--config", config])
+        return {p.name: p.read_bytes() for p in (out / "clients" / "pfl_fb").iterdir()}
+
+    assert len(personalize(tmp_path / "rerun", 6)) == 6
+    fresh = personalize(tmp_path / "fresh", 3)
+    assert sorted(fresh) == ["client_0.ckpt", "client_1.ckpt", "client_2.ckpt"]
+    assert personalize(tmp_path / "rerun", 3) == fresh
+
+
 def test_percent_in_the_output_path_is_literal(tmp_path):
     config = tmp_path / "exp.ini"
     config.write_text(CONFIG.format(out=tmp_path / "runs" / "50%"))
@@ -592,6 +630,55 @@ class TestFullPipelineDeterminism:
         run(["personalize", "--config", config, "--algorithm", "pfl_mf", "--workers", "2"])
         for name, blob in reference.items():
             assert (out / name).read_bytes() == blob, f"{name} changed across reruns"
+
+
+LENET_CONFIG = """
+[run]
+seed = 5
+out_dir = {out}
+
+[dataset]
+source = synthetic
+classes = 4
+per_class = 25
+test_per_class = 5
+noise = 0.1
+
+[model]
+architecture = lenet5
+
+[partition]
+clients = 2
+concentration = 1.0
+
+[federation]
+rounds = 2
+participation = 1.0
+local_epochs = 1
+local_batch = 10
+lr = 0.05
+momentum = 0.9
+"""
+
+
+def test_lenet5_fedavg_checkpoint_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # Each run in a fresh process, since OpenBLAS reads its thread count once
+    # at load. At local batch 10 the conv2 kernel gradient's GEMMs are the
+    # shapes whose bytes once depended on it.
+    digests = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        config = tmp_path / f"threads{threads}.ini"
+        config.write_text(LENET_CONFIG.format(out=out))
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+               **{v: threads for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+        for command in ("partition", "fedavg"):
+            code = f"import sys; from fedmoe.cli import main; sys.exit(main([{command!r}, '--config', {str(config)!r}]))"
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+        assert json.loads((out / "manifest_fedavg.json").read_text())["best_round"] > 0  # a trained model
+        digests.add(hashlib.sha256((out / "checkpoint.ckpt").read_bytes()).hexdigest())
+    assert len(digests) == 1
 
 
 def test_run_manifest_contents(workspace):

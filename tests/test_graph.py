@@ -283,18 +283,18 @@ class TestConstantValues:
         assert not out.tracked and out.parents == () and out._backward is None
         assert graph.dense(x, graph.leaf(np.ones((3, 2))), b).tracked
 
-    def test_sgd_epoch_batch_builds_each_patch_matrix_once(self, monkeypatch):
+    def test_sgd_epoch_batch_builds_each_row_buffer_once(self, monkeypatch):
         rng = np.random.default_rng(53)
         params = models.build_model(self.SPEC, seed=5)
         x = rng.uniform(size=(3,) + self.SPEC.input_shape)
         builds = []
-        real = kernels._im2col
+        real = kernels.row_buffer
 
-        def counting(x, khw):
+        def counting(x, kw):
             builds.append(x.shape[1])
-            return real(x, khw)
+            return real(x, kw)
 
-        monkeypatch.setattr(kernels, "_im2col", counting)
+        monkeypatch.setattr(kernels, "row_buffer", counting)
         sgd_full_batch(params, x, rng.integers(0, 4, size=3))
         assert builds == [1, 6]  # conv1's input channels, then conv2's
 

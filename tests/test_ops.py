@@ -118,42 +118,16 @@ def batch_innermost(a):
     return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
 
 
-def nchw_col2im_input_grad(dy, k):
-    """conv2d_input_grad with its scatter in NCHW memory: the same patch-space
-    GEMM, each offset's slab transposed to NCHW before it is added."""
-    n, f, oh, ow = dy.shape
-    c, kh, kw = k.shape[1:]
-    cols = (k.reshape(f, -1).T @ dy.transpose(1, 2, 3, 0).reshape(f, -1)).reshape(c, kh, kw, oh, ow, n)
-    dx = np.zeros((n, c, oh + kh - 1, ow + kw - 1))
-    for p in range(kh):
-        for q in range(kw):
-            dx[:, :, p : p + oh, q : q + ow] += cols[:, p, q].transpose(3, 0, 1, 2)
-    return dx
-
-
-def test_channel_major_input_grad_equals_the_nchw_col2im_at_every_batch_size():
-    # The batch-innermost scatter adds the same values in the same order as
-    # an NCHW one, so its memory order must not change a bit.
-    rng = np.random.default_rng(49)
-    k = rng.normal(size=LENET_CONVS["conv2"][1])
-    dy = batch_innermost(rng.normal(size=(130, 16, 10, 10)))
-    for n in range(1, 131):
-        got = kernels.conv2d_input_grad(dy[:n], k)
-        assert got.shape == (n, 6, 14, 14)
-        assert np.array_equal(got, nchw_col2im_input_grad(dy[:n], k)), f"batch {n}"
-
-
-def patch_matrix(x, kh, kw):
-    """Rows (c, p, q), columns (i, j, n), from one slice per kernel offset."""
+def loop_row_buffer(x, kw):
+    """E[h, c, q, j, n] = x[n, c, h, j+q], indexed element by element."""
     n, c, h, w = x.shape
-    oh, ow = h - kh + 1, w - kw + 1
-    slabs = [x[:, :, p : p + oh, q : q + ow] for p in range(kh) for q in range(kw)]  # each (N, C, oh, ow)
-    return np.stack(slabs, axis=1).transpose(2, 1, 3, 4, 0).reshape(c * kh * kw, oh * ow * n)
+    hh, cc, qq, jj, nn = np.indices((h, c, kw, w - kw + 1, n), sparse=True)
+    return x[nn, cc, hh, jj + qq]
 
 
 class TestBlockedInference:
-    """A constant-kernel conv2d runs the output rows in blocks over the whole
-    batch, a remainder joining the last block; the output must not change."""
+    """A constant-kernel conv2d builds the row buffer for blocks of output
+    rows; the output must not change."""
 
     @pytest.fixture(scope="class", params=sorted(LENET_CONVS))
     def layer(self, request):
@@ -162,32 +136,33 @@ class TestBlockedInference:
         x = batch_innermost(rng.normal(size=(400,) + x_shape[1:]))
         return x, rng.normal(size=k_shape), rng.normal(size=k_shape[0])
 
-    def test_equals_one_gemm_at_every_batch_size(self, layer):
+    def test_equals_one_gemm_at_every_batch_size(self, layer, monkeypatch):
+        # Each output row is one GEMM over the whole batch on either path;
+        # blocks of one row, of a few rows, and of the real budget.
         x, k, b = layer
-        f, _, kh, kw = k.shape
-        side = x.shape[2] - kh + 1
-        for n in [*range(1, 131), 400]:
-            one_gemm = (k.reshape(f, -1) @ kernels._im2col(x[:n], (kh, kw))).reshape(f, side, side, n)
-            want = one_gemm.transpose(3, 0, 1, 2) + b[None, :, None, None]
-            assert np.array_equal(kernels.conv2d(x[:n], k, b), want), f"batch {n}"
+        for budget in (1, 20_000, kernels.ROW_BLOCK):
+            monkeypatch.setattr(kernels, "ROW_BLOCK", budget)
+            for n in [*range(1, 131), 400]:
+                want, _ = kernels.conv2d(x[:n], k, b, keep_rows=True)
+                assert np.array_equal(kernels.conv2d(x[:n], k, b), want), f"batch {n}, budget {budget}"
 
-    def test_kept_patch_matrix_path_gives_the_same_output(self, layer):
+    def test_kept_row_buffer_holds_each_row_once_per_kernel_column(self, layer):
         x, k, b = layer
-        out, cols = kernels.conv2d(x[:97], k, b, keep_cols=True)
+        out, rows = kernels.conv2d(x[:97], k, b, keep_rows=True)
         assert np.array_equal(out, kernels.conv2d(x[:97], k, b))
-        assert np.array_equal(cols, patch_matrix(x[:97], *k.shape[2:]))
+        assert np.array_equal(rows, loop_row_buffer(x[:97], k.shape[3]))
 
     def test_images_of_every_block_match_the_loop_oracle(self, layer):
         x, k, b = layer
-        out = kernels.conv2d(x[:97], k, b)  # every image spans every block of output rows
-        rows = [31, 32, 96]
+        out = kernels.conv2d(x, k, b)  # 400 images: more than one block at either layer
+        rows = [31, 32, 399]
         assert np.allclose(out[rows], oracles.conv2d_loops(x[rows], k, b), rtol=0, atol=1e-12)
 
-    def test_kernel_grad_from_the_kept_patch_matrix_is_unchanged(self, layer):
+    def test_kernel_grad_from_the_kept_row_buffer_is_unchanged(self, layer):
         x, k, b = layer
-        _, cols = kernels.conv2d(x[:10], k, b, keep_cols=True)
-        dy = np.random.default_rng(48).normal(size=kernels.conv2d(x[:10], k, b).shape)
-        assert np.array_equal(kernels.conv2d_kernel_grad(x[:10], dy, k.shape[2:], cols),
+        out, rows = kernels.conv2d(x[:10], k, b, keep_rows=True)
+        dy = np.random.default_rng(48).normal(size=out.shape)
+        assert np.array_equal(kernels.conv2d_kernel_grad(x[:10], dy, k.shape[2:], rows),
                               kernels.conv2d_kernel_grad(x[:10], dy, k.shape[2:]))
 
 
@@ -206,15 +181,15 @@ def layer_arrays(layer, batch, seed):
 def kernel_results(x, k, b, dy, a, dp):
     """Every conv and pool kernel's output on one set of inputs."""
     khw = k.shape[2:]
-    out, cols = kernels.conv2d(x, k, b, keep_cols=True)
+    out, rows = kernels.conv2d(x, k, b, keep_rows=True)
     pooled, routing = kernels.max_pool2x2(a)
     return {
         "conv2d": kernels.conv2d(x, k, b),
-        "conv2d keep_cols": out,
-        "patch matrix": cols,
+        "conv2d keep_rows": out,
+        "row buffer": rows,
         "conv2d_input_grad": kernels.conv2d_input_grad(dy, k),
         "conv2d_kernel_grad": kernels.conv2d_kernel_grad(x, dy, khw),
-        "conv2d_kernel_grad from cols": kernels.conv2d_kernel_grad(x, dy, khw, cols),
+        "conv2d_kernel_grad from rows": kernels.conv2d_kernel_grad(x, dy, khw, rows),
         "max_pool2x2": pooled,
         "routing": routing,
         "max_pool2x2 without routing": kernels.max_pool2x2(a, with_routing=False)[0],
@@ -237,12 +212,12 @@ def test_kernel_results_do_not_depend_on_the_input_memory_order(layer, batch):
             assert np.array_equal(got[name], want[name]), f"{name}, {order} input"
 
 
-@pytest.mark.parametrize("batch", [7, 61])
+@pytest.mark.parametrize("batch", [1, 7, 10, 61, 64, 97, 400])
 @pytest.mark.parametrize("layer", sorted(LENET_CONVS))
 def test_kernels_on_batch_innermost_inputs_match_the_loop_oracles(layer, batch):
     x, k, b, dy, a, dp = layer_arrays(layer, batch, seed=100 + batch)
     x, dy, a, dp = (batch_innermost(v) for v in (x, dy, a, dp))
-    rows = [0, batch // 2, batch - 1]  # the oracles are slow; each image's results depend on it alone
+    rows = sorted({0, batch // 2, batch - 1})  # the oracles are slow; each image's results depend on it alone
     assert np.allclose(kernels.conv2d(x, k, b)[rows], oracles.conv2d_loops(x[rows], k, b), rtol=0, atol=1e-12)
     assert np.allclose(kernels.conv2d_input_grad(dy, k)[rows], oracles.conv2d_input_grad_loops(dy[rows], k),
                        rtol=0, atol=1e-12)

@@ -127,6 +127,25 @@ def test_bench_pairs_gap_must_exceed_the_parent_iqr():
     assert not ok and any("parent IQR" in p for p in problems)
 
 
+ENVIRONMENT = {"nproc": 2, "numpy": "2.4.6", "blas_threads": 1, "python": "3.11.7",
+               "blas": {"name": "scipy-openblas", "version": "0.3.31", "openblas configuration": "Haswell"}}
+
+
+def test_bench_pairs_records_the_shared_environment_and_refuses_a_different_one():
+    tool = load_bench_pairs()
+    pairs = synthetic_pairs([1.0, 2.0, 3.0], [0.5, 1.5, 2.5])
+    for parent, change in pairs:
+        parent["environment"], change["environment"] = dict(ENVIRONMENT), dict(ENVIRONMENT, python="3.12.1")
+    summary = tool.summarize(pairs, DECLARED)
+    # The Python patch level is recorded by the benchmark but does not block pairing.
+    assert summary["environment"] == {k: ENVIRONMENT[k] for k in ("blas", "blas_threads", "nproc", "numpy")}
+    for key, value in (("blas_threads", 2), ("nproc", 4), ("numpy", "2.3.0"),
+                       ("blas", dict(ENVIRONMENT["blas"], version="0.3.30"))):
+        pairs[2][1]["environment"] = dict(ENVIRONMENT, **{key: value})
+        with pytest.raises(SystemExit, match=f"change run of pair 3 has {key}"):
+            tool.summarize(pairs, DECLARED)
+
+
 BENCH = TOOL.parents[1] / "bench"
 # Traced names that src/ no longer has; their figures read 0 until the
 # benchmark drops them. No other traced name may go missing.

@@ -7,7 +7,9 @@ leaves its record in ``<checkout>/bench/runs/results/``; the tool reads it,
 and writes (or extends) a root-level ``BENCH_<slug>.json`` with one set per
 call: per metric the parent's and the change's quartiles, the change of the
 median, and the pairs the change won (ties count for neither side), plus the
-failed operations of each side::
+failed operations of each side, and the environment both sides ran in
+(BLAS build, BLAS threads, cores, numpy). Runs from different environments
+are refused, since their timings do not compare::
 
     python3 tools/bench_pairs.py --parent ../parent --workload desk_mlp \\
         --seeds 8801-8810 --slug client_stack --claim pfl_fb_s=0.30
@@ -31,6 +33,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COMMAND = "python3 bench/run.py --workload W --seed N --seconds {seconds:g} --trace 0"
 MIN_WIN_SHARE = 0.9
+# The parts of a run's recorded environment that its timings depend on.
+ENVIRONMENT_KEYS = ("blas", "blas_threads", "nproc", "numpy")
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -39,6 +43,20 @@ def quartiles(values: list[float]) -> list[float]:
         return [values[0]] * 3
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return [q1, median, q3]
+
+
+def environment(pairs: list[tuple[dict, dict]]) -> dict:
+    """The environment every run of the pairs recorded; SystemExit if one differs."""
+    first = None
+    for i, pair in enumerate(pairs):
+        for side, record in zip(("parent", "change"), pair):
+            env = {key: record.get("environment", {}).get(key) for key in ENVIRONMENT_KEYS}
+            first = env if first is None else first
+            for key in ENVIRONMENT_KEYS:
+                if env[key] != first[key]:
+                    raise SystemExit(f"error: refusing to pair runs from different environments: the {side} run "
+                                     f"of pair {i + 1} has {key} {env[key]!r}, the first run {first[key]!r}")
+    return first
 
 
 def summarize(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
@@ -59,6 +77,7 @@ def summarize(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
         }
     return {
         "pairs": len(pairs),
+        "environment": environment(pairs),
         "failed_operations": {
             "parent": sum(p["result"]["failed"] for p, _ in pairs),
             "change": sum(c["result"]["failed"] for _, c in pairs),
@@ -118,6 +137,7 @@ def main(argv=None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         records = {side: run_one(sides[side], args.workload, seed, args.seconds) for side in order}
         pairs.append((records["parent"], records["change"]))
+        environment(pairs)  # refuse at once, not after the last pair
         print(f"seed {seed}: ran {order[0]} first", file=sys.stderr)
 
     summary = {"workload": args.workload, "seeds": [args.seeds[0], args.seeds[-1]], "code": args.note,
