@@ -125,6 +125,23 @@ def loop_row_buffer(x, kw):
     return x[nn, cc, hh, jj + qq]
 
 
+def patch_matrix(x, kh, kw):
+    """Rows (c, p, q), columns (i, j, n), from one slice per kernel offset."""
+    n, c, h, w = x.shape
+    oh, ow = h - kh + 1, w - kw + 1
+    slabs = [x[:, :, p : p + oh, q : q + ow] for p in range(kh) for q in range(kw)]  # each (N, C, oh, ow)
+    return np.stack(slabs, axis=1).transpose(2, 1, 3, 4, 0).reshape(c * kh * kw, oh * ow * n)
+
+
+def patch_matrix_from_rows(rows, kh):
+    """The patch matrix read out of a row buffer E[h, c, q, j, n]: entry
+    ((c, p, q), (i, j, n)) is E[i+p, c, q, j, n]."""
+    h, c, kw, ow, n = rows.shape
+    oh = h - kh + 1
+    windows = np.stack([rows[p : p + oh] for p in range(kh)])  # (kh, oh, C, kw, ow, N)
+    return windows.transpose(2, 0, 3, 1, 4, 5).reshape(c * kh * kw, oh * ow * n)
+
+
 class TestBlockedInference:
     """A constant-kernel conv2d builds the row buffer for blocks of output
     rows; the output must not change."""
@@ -146,10 +163,17 @@ class TestBlockedInference:
                 want, _ = kernels.conv2d(x[:n], k, b, keep_rows=True)
                 assert np.array_equal(kernels.conv2d(x[:n], k, b), want), f"batch {n}, budget {budget}"
 
-    def test_kept_row_buffer_holds_each_row_once_per_kernel_column(self, layer):
+    def test_kept_patch_matrix_path_gives_the_same_output(self, layer):
+        # The kept row buffer still holds the whole patch matrix: its kh
+        # shifted row windows, stacked, are the im2col columns.
         x, k, b = layer
         out, rows = kernels.conv2d(x[:97], k, b, keep_rows=True)
         assert np.array_equal(out, kernels.conv2d(x[:97], k, b))
+        assert np.array_equal(patch_matrix_from_rows(rows, k.shape[2]), patch_matrix(x[:97], *k.shape[2:]))
+
+    def test_kept_row_buffer_holds_each_row_once_per_kernel_column(self, layer):
+        x, k, b = layer
+        _, rows = kernels.conv2d(x[:97], k, b, keep_rows=True)
         assert np.array_equal(rows, loop_row_buffer(x[:97], k.shape[3]))
 
     def test_images_of_every_block_match_the_loop_oracle(self, layer):
