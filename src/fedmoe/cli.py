@@ -135,9 +135,16 @@ def cmd_partition(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _sha256(path: Path, what: str, rerun: str) -> str:
+    """The sha256 of the file at ``path``, read through the bounded reader."""
+    with BoundedReader(path, what, rerun) as r:
+        return hashlib.sha256(r.bytes(r.size, "its bytes")).hexdigest()
+
+
 def cmd_fedavg(cfg: ExperimentConfig) -> int:
     train, test = build_datasets(cfg)
     partition = load_partition(cfg, train)
+    partition_digest = _sha256(_partition_path(cfg), "partition file", "re-run `fedmoe partition --config ...`")
 
     def eval_fn(params: models.ModelParams) -> float:
         return evaluation.global_test(lambda x: models.forward(params, x), test)
@@ -168,7 +175,8 @@ def cmd_fedavg(cfg: ExperimentConfig) -> int:
     records = _metrics_records(cfg, "fedavg", train, partition,
                                [(cid, per_class, global_acc, None) for cid in range(len(partition))])
     evaluation.write_metrics_csv(records, cfg.out_dir / "metrics_fedavg.csv")
-    _write_manifest(cfg, "fedavg", {"checkpoint_sha256": digest, "best_round": result.best.round_index})
+    _write_manifest(cfg, "fedavg", {"checkpoint_sha256": digest, "partition_sha256": partition_digest,
+                                    "best_round": result.best.round_index})
     log.info("best round %d, global accuracy %.4f", result.best.round_index, global_acc)
     print(f"wrote {ckpt_path} (best round {result.best.round_index}, global acc {global_acc:.4f})")
     return 0
@@ -259,21 +267,13 @@ def _fedavg_fields(snapshot) -> dict:
 
 
 def _check_checkpoint(cfg: ExperimentConfig, ckpt_path: Path) -> None:
-    """The checkpoint must be the one the last ``fedavg`` run recorded, from
-    the configuration this run has."""
+    """The checkpoint and the partition file must be the ones the last
+    ``fedavg`` run recorded, and its configuration the one this run has."""
     manifest_path = cfg.out_dir / "manifest_fedavg.json"
     rerun = "re-run `fedmoe fedavg --config ...`"
     manifest = read_json(manifest_path, f"checkpoint {ckpt_path}'s fedavg manifest", rerun)
-    recorded = manifest.get("checkpoint_sha256") if isinstance(manifest, dict) else None
-    if recorded is None:
-        raise ConfigError(f"{manifest_path} records no checkpoint_sha256 for checkpoint {ckpt_path}; {rerun}")
-    with BoundedReader(ckpt_path, "checkpoint", rerun) as r:
-        actual = hashlib.sha256(r.bytes(r.size, "its bytes")).hexdigest()
-    if actual != recorded:
-        raise ConfigError(
-            f"checkpoint {ckpt_path} has sha256 {actual}, but {manifest_path} records {recorded}; "
-            f"the checkpoint is stale or was edited; {rerun}"
-        )
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{manifest_path} holds no JSON object for checkpoint {ckpt_path}; {rerun}")
     was = _fedavg_fields(manifest.get("config"))
     now = _fedavg_fields(cfg.snapshot())
     for key in {**now, **was}:
@@ -281,6 +281,17 @@ def _check_checkpoint(cfg: ExperimentConfig, ckpt_path: Path) -> None:
             raise ConfigError(
                 f"checkpoint {ckpt_path} was trained with {key} = {was.get(key)!r} ({manifest_path}), "
                 f"but the configuration gives {now.get(key)!r}; {rerun}"
+            )
+    for key, what, path in (("checkpoint_sha256", "checkpoint", ckpt_path),
+                            ("partition_sha256", "partition file", _partition_path(cfg))):
+        recorded = manifest.get(key)
+        if recorded is None:
+            raise ConfigError(f"{manifest_path} records no {key} for {what} {path}; {rerun}")
+        actual = _sha256(path, what, rerun)
+        if actual != recorded:
+            raise ConfigError(
+                f"{what} {path} has sha256 {actual}, but {manifest_path} records {recorded}; "
+                f"the {what} is stale or was edited; {rerun}"
             )
 
 
@@ -324,7 +335,7 @@ def cmd_personalize(cfg: ExperimentConfig, algorithm: str) -> int:
             algorithm, global_params, _head_clients(cfg, algorithm, partition, train),
             cfg.personalization[algorithm], cfg.workers,
         )
-        features = evaluation.batched(lambda x: models.extract_features(global_params, x), test.features)
+        features = models.extract_features(global_params, test.features)
 
     artifact_dir = cfg.out_dir / "clients" / algorithm
     make_dir(artifact_dir, "client checkpoint directory")

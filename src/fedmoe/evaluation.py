@@ -33,17 +33,9 @@ def class_ratios(labels: Sequence[int], classes: int) -> np.ndarray:
     return np.bincount(y, minlength=classes) / y.size
 
 
-def batched(fn: Predictor, images: Tensor, batch_size: int = 512) -> Tensor:
-    """``fn`` over consecutive ``batch_size``-image slices, concatenated, so
-    inference over a whole test set holds one slice's activations at a time."""
-    x = images.data
-    return Tensor._wrap(np.concatenate([fn(Tensor._wrap(x[s : s + batch_size])).data
-                                        for s in range(0, len(x), batch_size)]))
-
-
-def predict_labels(predictor: Predictor, ds: LabeledDataset, batch_size: int = 512) -> np.ndarray:
+def predict_labels(predictor: Predictor, ds: LabeledDataset) -> np.ndarray:
     """Argmax predictions over a dataset; ties break to the lowest class index."""
-    return np.argmax(batched(predictor, ds.features, batch_size).data, axis=1)
+    return np.argmax(predictor(ds.features).data, axis=1)
 
 
 def global_test(predictor: Predictor, test_set: LabeledDataset) -> float:

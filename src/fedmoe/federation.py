@@ -243,14 +243,17 @@ def local_update(
 def aggregate(updates: Sequence[ClientUpdate], weighting: str = "sample") -> ModelParams:
     """Average client parameters, weighted by example counts or uniformly.
 
-    Updates are sorted by client id before the reduction, so the result is
-    permutation-invariant and bit-stable.
+    Updates, one per client, are sorted by client id before the reduction,
+    so the result is permutation-invariant and bit-stable.
     """
     if not updates:
         raise ConfigError("aggregate: need at least one update")
     if weighting not in WEIGHTING_MODES:
         raise ConfigError(f"weighting: expected one of {WEIGHTING_MODES}, got {weighting!r}")
     ordered = sorted(updates, key=lambda u: u.client_id)
+    repeated = sorted({a.client_id for a, b in zip(ordered, ordered[1:]) if a.client_id == b.client_id})
+    if repeated:
+        raise UsageError(f"aggregate: clients {repeated} each have more than one update")
     first = ordered[0].params
     for u in ordered[1:]:
         for name, t in u.params.tensors.items():
@@ -258,6 +261,8 @@ def aggregate(updates: Sequence[ClientUpdate], weighting: str = "sample") -> Mod
                 raise DimensionError(f"aggregate: update for client {u.client_id} does not conform at {name!r}")
     if weighting == "sample":
         total = sum(u.num_examples for u in ordered)
+        if total <= 0:
+            raise UsageError(f"aggregate: sample weighting needs a positive example count, got {total}")
         weights = np.array([u.num_examples / total for u in ordered])
     else:
         weights = np.full(len(ordered), 1.0 / len(ordered))

@@ -205,26 +205,49 @@ def gate_graph(values: dict[str, graph.Value], v: graph.Value) -> graph.Value:
     return graph.sigmoid(graph.reshape(graph.dense(v, w, b), v.data.shape[:-1]))
 
 
-def _check_input(spec: ModelSpec, x: Tensor) -> tuple[np.ndarray, bool]:
+# Doubles (4 MiB) an inference block's largest per-image array may fill, so
+# each layer's activations stay in cache: 111 LeNet-5 or 512 32x32 MLP images.
+BUDGET = 1 << 19
+
+
+def per_image_doubles(spec: ModelSpec) -> int:
+    """The largest per-image array the layer plan allocates: its input, a
+    layer's output, or a conv's row buffer (H*C*kw*ow)."""
+    (c, side, _), sizes = spec.input_shape, [spec.raw_input_dim]
+    for kind, _, meta in _layer_plan(spec)[0] + _layer_plan(spec)[1]:
+        if kind == "conv":
+            filters, _, k = meta
+            sizes += [side * c * k * (side - k + 1), filters * (side - k + 1) ** 2]
+            c, side = filters, side - k + 1
+        elif kind == "pool":
+            side //= 2
+        elif kind == "dense":
+            sizes.append(meta[1])
+    return max(sizes)
+
+
+def _blocked(model: ModelParams, x: Tensor, run_graph, tensors: dict[str, Tensor]) -> Tensor:
+    """``run_graph`` on ``tensors`` over consecutive blocks of a batch
+    (B,C,S,S) or a single example (C,S,S), concatenated; a block holds
+    max(1, BUDGET // per_image_doubles) images."""
     single = x.ndim == 3
     data = x.data[None] if single else x.data
-    if data.ndim != 4 or data.shape[1:] != spec.input_shape:
-        raise DimensionError(f"model input {x.shape} does not match spec {spec.input_shape}")
-    return data, single
+    if data.ndim != 4 or data.shape[1:] != model.spec.input_shape:
+        raise DimensionError(f"model input {x.shape} does not match spec {model.spec.input_shape}")
+    values, step = param_consts(tensors), max(1, BUDGET // per_image_doubles(model.spec))
+    out = np.concatenate([run_graph(model.spec, values, graph.const(data[lo : lo + step])).data
+                          for lo in range(0, len(data), step)])
+    return Tensor._wrap(out[0] if single else out)
 
 
 def forward(model: ModelParams, x: Tensor) -> Tensor:
     """Raw logits for a batch (B,C,S,S) or a single example (C,S,S)."""
-    data, single = _check_input(model.spec, x)
-    out = forward_graph(model.spec, param_consts(model.tensors), graph.const(data)).data
-    return Tensor._wrap(out[0] if single else out)
+    return _blocked(model, x, forward_graph, model.tensors)
 
 
 def extract_features(model: ModelParams, x: Tensor) -> Tensor:
     """Activations between extractor and classifier (length feature_dim)."""
-    data, single = _check_input(model.spec, x)
-    out = extract_graph(model.spec, param_consts(model.extractor), graph.const(data)).data
-    return Tensor._wrap(out[0] if single else out)
+    return _blocked(model, x, extract_graph, model.extractor)
 
 
 def classify(model: ModelParams, a: Tensor, classifier: dict[str, Tensor] | None = None) -> Tensor:

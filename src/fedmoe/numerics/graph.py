@@ -82,10 +82,7 @@ def dense(x: Value, w: Value, b: Value) -> Value:
 
 def conv2d(x: Value, k: Value, b: Value) -> Value:
     khw = (k.data.shape[2], k.data.shape[3])
-    if k.tracked:  # keep the row buffer for the kernel gradient
-        out, rows = kernels.conv2d(x.data, k.data, b.data, keep_rows=True)
-    else:
-        out, rows = kernels.conv2d(x.data, k.data, b.data), None
+    out, rows = kernels.conv2d(x.data, k.data, b.data, keep_rows=True)
 
     def backward(g):
         return (

@@ -17,10 +17,9 @@ Convolutions lower to GEMMs through a row buffer (MEC; Cho and Brand 2017,
 arXiv 1706.06873), E[h, c, q, j, n] = x[n, c, h, j+q] of shape
 (H, C, kw, ow, N): 5x the input where an im2col patch matrix is 25x. Any kh
 consecutive rows of E are one contiguous (kh*C*kw, ow*N) matrix, so each
-output row is one GEMM on it, whose shape does not depend on the block of
-rows around it. Against im2col this changes conv2's summation order (the
-last bits of its forward and both gradients); conv1's forward (C = 1) keeps
-its bits.
+output row is one GEMM on it. Against im2col this changes conv2's summation
+order (the last bits of its forward and both gradients); conv1's forward
+(C = 1) keeps its bits.
 """
 
 from __future__ import annotations
@@ -31,11 +30,6 @@ from numpy.lib.stride_tricks import as_strided
 
 def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x @ w + b[..., None, :]
-
-
-# Inference builds the row buffer for a block of output rows at a time, at
-# most this many doubles (8 MB), so it stays cache-sized at large batches.
-ROW_BLOCK = 1 << 20
 
 
 def _batch_innermost(a: np.ndarray) -> np.ndarray:
@@ -76,19 +70,13 @@ def conv2d(x: np.ndarray, k: np.ndarray, b: np.ndarray, *, keep_rows: bool = Fal
 
     One GEMM per output row, kmat @ E[i:i+kh], with kmat's columns in (p, c, q)
     order, writes the (F, oh, ow, N) output in place. With ``keep_rows`` the
-    call builds the whole batch's row buffer and returns ``(out, rows)`` for
-    :func:`conv2d_kernel_grad`; otherwise it runs blocks of output rows whose
-    row buffers hold at most ROW_BLOCK doubles, and returns ``out``."""
-    f, c, kh, kw = k.shape
+    call returns ``(out, rows)``, the row buffer for :func:`conv2d_kernel_grad`;
+    otherwise ``out``. Inference passes ``models``' cache-sized image blocks."""
+    f, _, kh, kw = k.shape
     n, oh, ow = x.shape[0], x.shape[2] - kh + 1, x.shape[3] - kw + 1
-    x, out, kmat = _batch_innermost(x), np.empty((f, oh, ow * n)), k.transpose(0, 2, 1, 3).reshape(f, -1)
-    step = oh if keep_rows else max(ROW_BLOCK // (c * kw * ow * n) - kh + 1, 1)
-    for lo in range(0, oh, step):
-        rows = None  # free the last block's buffer before building this one
-        rows = row_buffer(x[:, :, lo : lo + step + kh - 1], kw)
-        block = out[:, lo : lo + step].transpose(1, 0, 2)
-        np.matmul(kmat, _windows(rows, kh), out=block)
-        block += b[:, None]
+    rows, out = row_buffer(_batch_innermost(x), kw), np.empty((f, oh, ow * n))
+    np.matmul(k.transpose(0, 2, 1, 3).reshape(f, -1), _windows(rows, kh), out=out.transpose(1, 0, 2))
+    out += b[:, None, None]
     out = out.reshape(f, oh, ow, n).transpose(3, 0, 1, 2)
     return (out, rows) if keep_rows else out
 

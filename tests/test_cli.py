@@ -288,6 +288,33 @@ class TestPersonalizeCommand:
         err = capsys.readouterr().err
         assert "checkpoint.ckpt" in err and "manifest_fedavg.json" in err and "re-run `fedmoe fedavg" in err
 
+    def test_partition_edited_after_fedavg_is_rejected(self, workspace, capsys):
+        # Swapping one example between two clients keeps the partition valid,
+        # but it is no longer the one the checkpoint was trained on.
+        config, out = workspace
+        run(["partition", "--config", config])
+        run(["fedavg", "--config", config])
+        path = out / "partition.json"
+        blob = json.loads(path.read_text())
+        a, b = blob["clients"][0], blob["clients"][1]
+        a[0], b[0] = b[0], a[0]
+        path.write_text(json.dumps(blob, sort_keys=True) + "\n")
+        assert cli.main(["personalize", "--config", str(config), "--algorithm", "pfl_fb"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: partition file ") and err.count("\n") == 1
+        assert f"{path} has sha256 " in err and "manifest_fedavg.json records " in err
+        assert "re-run `fedmoe fedavg --config ...`" in err
+        assert not (out / "metrics_pfl_fb.csv").exists()
+
+    def test_fedavg_manifest_that_is_not_an_object_is_rejected(self, workspace, capsys):
+        config, out = workspace
+        run(["partition", "--config", config])
+        run(["fedavg", "--config", config])
+        (out / "manifest_fedavg.json").write_text("[]\n")
+        assert cli.main(["personalize", "--config", str(config), "--algorithm", "pfl_fb"]) == 2
+        err = capsys.readouterr().err
+        assert "manifest_fedavg.json holds no JSON object" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("algorithm", ["pfl_mf", "pfl_mfe"])
     def test_one_example_client_is_named_in_the_split_error(self, workspace, capsys, algorithm):
         config, out = workspace
@@ -688,4 +715,5 @@ def test_run_manifest_contents(workspace):
     manifest = json.loads((out / "manifest_fedavg.json").read_text())
     assert manifest["seed"] == 11
     assert len(manifest["checkpoint_sha256"]) == 64
+    assert manifest["partition_sha256"] == hashlib.sha256((out / "partition.json").read_bytes()).hexdigest()
     assert manifest["config"]["federation"]["rounds"] == 6

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,62 @@ class TestForwardAndSplit:
         model = models.build_model(lenet_spec(), seed=0)
         with pytest.raises(DimensionError):
             models.forward(model, Tensor(np.zeros((1, 3, 32, 32))))
+
+
+def block_size(spec):
+    return max(1, models.BUDGET // models.per_image_doubles(spec))
+
+
+class TestInferenceBlocks:
+    """forward and extract_features run their images in blocks of
+    ``block_size(spec)``; a block's result is the same call on its slice."""
+
+    def test_block_sizes_follow_the_largest_per_image_array(self):
+        # LeNet-5: conv1's 6x28x28 output; the MLP: its 32x32 input; RGB
+        # LeNet-5: conv1's row buffer, 32 rows x 3 channels x 5 x 28.
+        assert (models.per_image_doubles(lenet_spec()), block_size(lenet_spec())) == (4704, 111)
+        assert (models.per_image_doubles(mlp_spec()), block_size(mlp_spec())) == (1024, 512)
+        assert models.per_image_doubles(lenet_spec(channels=3)) == 32 * 3 * 5 * 28
+        assert models.per_image_doubles(mlp_spec(hidden=(2048, 16))) == 2048
+
+    def test_an_image_larger_than_the_budget_is_a_block_of_its_own(self, monkeypatch):
+        spec = lenet_spec()
+        model = models.build_model(spec, seed=10)
+        x = np.random.default_rng(48).uniform(size=(5, *spec.input_shape))
+        want = [models.forward(model, Tensor(x[i])).data for i in range(5)]
+        monkeypatch.setattr(models, "BUDGET", 1000)
+        assert np.array_equal(models.forward(model, Tensor(x)).data, np.stack(want))
+
+    @pytest.mark.parametrize("call", [models.forward, models.extract_features], ids=["forward", "features"])
+    def test_equals_the_calls_on_the_rule_slices(self, call):
+        spec = lenet_spec()
+        model, block = models.build_model(spec, seed=11), block_size(spec)
+        x = np.random.default_rng(49).uniform(size=(400, *spec.input_shape))
+        for n in (1, block - 1, block, block + 1, 400):
+            slices = [call(model, Tensor(x[lo : min(lo + block, n)])).data for lo in range(0, n, block)]
+            assert np.array_equal(call(model, Tensor(x[:n])).data, np.concatenate(slices)), f"{n} images"
+
+    def test_mlp_test_set_of_400_images_is_one_block(self):
+        spec = mlp_spec(hidden=(32,))
+        model = models.build_model(spec, seed=12)
+        x = np.random.default_rng(50).uniform(size=(400, *spec.input_shape))
+        whole = models.forward_graph(spec, models.param_consts(model.tensors), graph.const(x)).data
+        assert block_size(spec) >= 400
+        assert np.array_equal(models.forward(model, Tensor(x)).data, whole)
+
+    def test_peak_memory_is_set_by_the_budget_not_the_batch(self):
+        spec = lenet_spec()
+        model = models.build_model(spec, seed=13)
+        x = Tensor(np.random.default_rng(51).uniform(size=(2000, *spec.input_shape)))
+        tracemalloc.start()
+        try:
+            models.forward(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One block's conv1 output and row buffer are each about BUDGET doubles;
+        # 2,000 images in one batch would be 18x that.
+        assert peak < 3 * models.BUDGET * 8
 
 
 def gate_of(gate: dict, v: np.ndarray) -> np.ndarray:

@@ -143,8 +143,9 @@ def patch_matrix_from_rows(rows, kh):
 
 
 class TestBlockedInference:
-    """A constant-kernel conv2d builds the row buffer for blocks of output
-    rows; the output must not change."""
+    """A constant-kernel conv2d, as inference runs it, against the kept-rows
+    path training runs; ``models`` bounds inference's batch (see
+    tests/test_models.py::TestInferenceBlocks)."""
 
     @pytest.fixture(scope="class", params=sorted(LENET_CONVS))
     def layer(self, request):
@@ -153,15 +154,11 @@ class TestBlockedInference:
         x = batch_innermost(rng.normal(size=(400,) + x_shape[1:]))
         return x, rng.normal(size=k_shape), rng.normal(size=k_shape[0])
 
-    def test_equals_one_gemm_at_every_batch_size(self, layer, monkeypatch):
-        # Each output row is one GEMM over the whole batch on either path;
-        # blocks of one row, of a few rows, and of the real budget.
+    def test_equals_one_gemm_at_every_batch_size(self, layer):
         x, k, b = layer
-        for budget in (1, 20_000, kernels.ROW_BLOCK):
-            monkeypatch.setattr(kernels, "ROW_BLOCK", budget)
-            for n in [*range(1, 131), 400]:
-                want, _ = kernels.conv2d(x[:n], k, b, keep_rows=True)
-                assert np.array_equal(kernels.conv2d(x[:n], k, b), want), f"batch {n}, budget {budget}"
+        for n in [*range(1, 131), 400]:
+            want, _ = kernels.conv2d(x[:n], k, b, keep_rows=True)
+            assert np.array_equal(kernels.conv2d(x[:n], k, b), want), f"batch {n}"
 
     def test_kept_patch_matrix_path_gives_the_same_output(self, layer):
         # The kept row buffer still holds the whole patch matrix: its kh
@@ -178,7 +175,7 @@ class TestBlockedInference:
 
     def test_images_of_every_block_match_the_loop_oracle(self, layer):
         x, k, b = layer
-        out = kernels.conv2d(x, k, b)  # 400 images: more than one block at either layer
+        out = kernels.conv2d(x, k, b)  # 400 images, more than one inference block
         rows = [31, 32, 399]
         assert np.allclose(out[rows], oracles.conv2d_loops(x[rows], k, b), rtol=0, atol=1e-12)
 

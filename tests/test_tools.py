@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import re
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,30 @@ def test_two_runs_print_the_same_digests(tmp_path, capsys):
     for name in ("partition.json", "checkpoint.ckpt", "rounds.csv", "manifest_pfl_mfe.json",
                  "metrics_local.csv", "clients/pfl_mf/client_2.ckpt", "report.csv", "deltas.csv"):
         assert name in paths
+
+
+@pytest.mark.parametrize("threads", [None, "2", "0"])
+def test_blas_thread_count_reaches_every_command(tmp_path, monkeypatch, capsys, threads):
+    tool = load_tool()
+    config = tmp_path / "tiny.ini"
+    config.write_text(TINY_CONFIG)
+    envs = []
+
+    def fake_run(cmd, env, **_):
+        envs.append(env)
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    argv = ["--config", str(config), "--out", str(tmp_path / "out")] + (["--blas-threads", threads] if threads else [])
+    if threads == "0":
+        with pytest.raises(SystemExit) as e:
+            tool.main(argv)
+        assert e.value.code == 2 and "--blas-threads must be at least 1, got 0" in capsys.readouterr().err
+        assert not envs
+        return
+    tool.main(argv)
+    assert len(envs) == 8  # partition, fedavg, five personalize commands, report
+    assert {env[v] for env in envs for v in tool.THREAD_VARS} == {threads or "1"}
 
 
 BENCH_PAIRS = TOOL.parent / "bench_pairs.py"

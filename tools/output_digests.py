@@ -3,8 +3,9 @@
 Runs ``partition``, ``fedavg``, ``personalize`` for each of the five
 algorithms and ``report`` over the run's ``metrics_*.csv`` (writing
 ``report.csv`` and ``deltas.csv`` into the output directory), each command
-in a fresh process with one BLAS thread, then prints one sorted
-``<sha256>  <path relative to the output dir>`` line per file. Comparing
+in a fresh process with ``--blas-threads`` BLAS threads (default 1), then
+prints one sorted ``<sha256>  <path relative to the output dir>`` line per
+file. Comparing
 these lines between two checkouts shows whether a change kept every output
 byte-identical::
 
@@ -18,6 +19,13 @@ The INI is either a file (``--config``) or a benchmark workload at a seed
 read and not changed. The run manifests embed the output directory, so both
 sides must use the same ``--out``; it must be empty or missing.
 ``--src`` picks the fedmoe sources to run (default: this checkout's).
+Whether the bytes depend on the BLAS thread count is the same comparison
+between two thread counts of one checkout::
+
+    python3 tools/output_digests.py --workload lenet5 --seed 0 --out /tmp/digests > one.txt
+    rm -rf /tmp/digests
+    python3 tools/output_digests.py --workload lenet5 --seed 0 --out /tmp/digests --blas-threads 2 > two.txt
+    diff one.txt two.txt
 """
 
 from __future__ import annotations
@@ -46,10 +54,10 @@ def _workload_ini(name: str, seed: int, out: Path) -> str:
     return workloads.WORKLOADS[name].ini(seed, out)
 
 
-def run_pipeline(config: Path, out: Path, src: Path) -> None:
+def run_pipeline(config: Path, out: Path, src: Path, blas_threads: int = 1) -> None:
     """Every pipeline command on one INI, then ``report`` over its metrics
-    CSVs, one fresh single-BLAS-thread process each."""
-    env = {**os.environ, "PYTHONPATH": str(src), **{v: "1" for v in THREAD_VARS}}
+    CSVs, one fresh process each with ``blas_threads`` BLAS threads."""
+    env = {**os.environ, "PYTHONPATH": str(src), **{v: str(blas_threads) for v in THREAD_VARS}}
 
     def run(*args: str) -> None:
         code = f"import sys; from fedmoe.cli import main; sys.exit(main({list(args)!r}))"
@@ -78,9 +86,12 @@ def main(argv=None) -> list[str]:
     parser.add_argument("--seed", type=int, help="workload seed")
     parser.add_argument("--out", type=Path, required=True, help="output directory, empty or missing")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="fedmoe sources to run")
+    parser.add_argument("--blas-threads", type=int, default=1, help="BLAS threads of every command (default 1)")
     args = parser.parse_args(argv)
     if args.workload is not None and args.seed is None:
         parser.error("--workload needs --seed")
+    if args.blas_threads < 1:
+        parser.error(f"--blas-threads must be at least 1, got {args.blas_threads}")
     out = args.out.resolve()
     if out.exists() and any(out.iterdir()):
         parser.error(f"{out} is not empty; remove it first")
@@ -89,7 +100,7 @@ def main(argv=None) -> list[str]:
         if config is None:
             config = Path(tmp) / "experiment.ini"
             config.write_text(_workload_ini(args.workload, args.seed, out))
-        run_pipeline(config.resolve(), out, args.src.resolve())
+        run_pipeline(config.resolve(), out, args.src.resolve(), args.blas_threads)
     lines = digests(out)
     print("\n".join(lines))
     return lines
