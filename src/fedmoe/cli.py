@@ -3,7 +3,8 @@
 Artifacts live under the configured output directory:
   partition.json / partition_histogram.csv   (partition)
   checkpoint.ckpt / rounds.csv / metrics_fedavg.csv / manifest_fedavg.json
-  metrics_<algorithm>.csv / clients/<algorithm>/client_<id>.ckpt
+  metrics_<algorithm>.csv / metrics_<algorithm>.jsonl / manifest_<algorithm>.json
+  clients/<algorithm>/client_<id>.ckpt
   report.csv / deltas.csv                    (report)
 """
 
@@ -372,9 +373,15 @@ def cmd_personalize(cfg: ExperimentConfig, algorithm: str) -> int:
 
 
 def cmd_report(metric_paths: list[str], out_dir: Path) -> int:
-    records = []
+    records, source = [], {}
     for path in metric_paths:
-        records.extend(evaluation.read_metrics_csv(path))
+        for r in evaluation.read_metrics_csv(path):
+            key = (r.algorithm, r.run_id, r.client_id)
+            if key in source:
+                raise ConfigError(f"report: {r.algorithm} client {r.client_id} of run {r.run_id} appears in both "
+                                  f"{source[key]} and {path}; pass each run's metrics once")
+            source[key] = path
+            records.append(r)
     if not records:
         raise ConfigError("report: no metrics records found in the given files")
     summary = evaluation.summarize(records)
@@ -404,12 +411,15 @@ def cmd_report(metric_paths: list[str], out_dir: Path) -> int:
 
 
 def cmd_selftest() -> int:
-    """Checks of what this numpy and BLAS build computes: a gradient against
-    finite differences, the conv and pool kernels, the mixing boundaries and
-    gate, and a checkpoint round trip. Exits nonzero if any fails."""
+    """Checks whose result can differ between two installs of the same source:
+    the BLAS-backed conv kernels at LeNet-5's conv2 shape, and the checkpoint
+    bytes. The forward must match ``kernels.dense`` on every 5x5 window, and
+    both gradients the adjoint identity vdot(y, dy) = vdot(x, dx) = vdot(k, dk).
+    Exits 1 if any check fails. What the source fixes on any numpy is left to
+    the test suite."""
     import tempfile
 
-    from .numerics import graph, kernels
+    from .numerics import kernels
 
     failures = 0
 
@@ -419,94 +429,31 @@ def cmd_selftest() -> int:
         failures += 0 if ok else 1
 
     rng = np.random.default_rng(0)
+    errors = {"conv2d": [], "conv2d_input_grad": [], "conv2d_kernel_grad": []}
+    for n in (10, 64):  # the fedavg and the personalization batch
+        x, k, b = rng.normal(size=(n, 6, 14, 14)), rng.normal(size=(16, 6, 5, 5)), rng.normal(size=16)
+        dy, y = rng.normal(size=(n, 16, 10, 10)), np.empty((n, 16, 10, 10))
+        for i, j in np.ndindex(10, 10):  # the forward without its bias
+            y[:, :, i, j] = kernels.dense(x[:, :, i : i + 5, j : j + 5].reshape(n, -1), k.reshape(16, -1).T,
+                                          np.zeros(16))
+        adjoint = np.vdot(y, dy)
+        errors["conv2d"].append(np.abs(kernels.conv2d(x, k, b) - (y + b[:, None, None])).max() / np.abs(y).max())
+        errors["conv2d_input_grad"].append(abs(np.vdot(x, kernels.conv2d_input_grad(dy, k)) / adjoint - 1))
+        errors["conv2d_kernel_grad"].append(abs(np.vdot(k, kernels.conv2d_kernel_grad(x, dy, (5, 5))) / adjoint - 1))
+    for name, errs in errors.items():
+        err = float(np.max(errs))  # NaN fails the check
+        ref = "kernels.dense on every window" if name == "conv2d" else "the adjoint identity"
+        check(f"{name} matches {ref} at batch 10 and 64 (max rel err {err:.2e})", err <= 1e-12)
 
-    # Gradient vs central finite differences on a dense + cross-entropy path.
-    x, w, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
-    labels = [0, 2, 1]
-    leaves = [graph.leaf(w), graph.leaf(b)]
-    loss = graph.cross_entropy(graph.dense(graph.leaf(x), leaves[0], leaves[1]), labels)
-    analytic = graph.gradient(loss, leaves)
-    worst = 0.0
-    for arr, got in zip((w, b), analytic):
-        num = np.zeros_like(arr)
-        flat, nflat = arr.reshape(-1), num.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + 1e-5
-            up = float(graph.cross_entropy(graph.dense(graph.leaf(x), graph.leaf(w), graph.leaf(b)), labels).data)
-            flat[i] = orig - 1e-5
-            down = float(graph.cross_entropy(graph.dense(graph.leaf(x), graph.leaf(w), graph.leaf(b)), labels).data)
-            flat[i] = orig
-            nflat[i] = (up - down) / 2e-5
-        worst = max(worst, float(np.max(np.abs(got - num) / np.maximum(1.0, np.abs(num)))))
-    check(f"gradient matches finite differences (max rel err {worst:.2e})", worst < 1e-4)
-
-    # Conv and pool kernels at the LeNet-5 conv2 shape against direct
-    # references: one shifted slice per kernel offset (p, q), contracted over
-    # channels with tensordot.
-    x, k, b = rng.normal(size=(2, 6, 14, 14)), rng.normal(size=(16, 6, 5, 5)), rng.normal(size=16)
-    dy = rng.normal(size=(2, 16, 10, 10))
-    want = {
-        "conv2d": np.broadcast_to(b[None, :, None, None], dy.shape).copy(),
-        "conv2d_input_grad": np.zeros_like(x),
-        "conv2d_kernel_grad": np.empty_like(k),
-    }
-    for p in range(5):
-        for q in range(5):
-            window = x[:, :, p : p + 10, q : q + 10]
-            want["conv2d"] += np.tensordot(window, k[:, :, p, q], axes=([1], [1])).transpose(0, 3, 1, 2)
-            want["conv2d_input_grad"][:, :, p : p + 10, q : q + 10] += np.tensordot(
-                dy, k[:, :, p, q], axes=([1], [0])
-            ).transpose(0, 3, 1, 2)
-            want["conv2d_kernel_grad"][:, :, p, q] = np.tensordot(dy, window, axes=([0, 2, 3], [0, 2, 3]))
-    got = {
-        "conv2d": kernels.conv2d(x, k, b),
-        "conv2d_input_grad": kernels.conv2d_input_grad(dy, k),
-        "conv2d_kernel_grad": kernels.conv2d_kernel_grad(x, dy, (5, 5)),
-    }
-    for name, ref in want.items():
-        err = float(np.abs(got[name] - ref).max() / np.abs(ref).max())
-        check(f"{name} matches the shifted-slice reference (rel err {err:.2e})", err < 1e-12)
-    # dy as pool input: normal draws, so no window holds a tie.
-    pooled, routing = kernels.max_pool2x2(dy)
-    ref = dy.reshape(2, 16, 5, 2, 5, 2).max(axis=(3, 5))
-    dp = rng.normal(size=ref.shape)
-    up = lambda v: v.repeat(2, axis=2).repeat(2, axis=3)
-    check("max_pool2x2 matches the window maxima", np.array_equal(pooled, ref))
-    check("max_pool2x2_grad routes each gradient to its window maximum",
-          np.array_equal(kernels.max_pool2x2_grad(dp, routing), (dy == up(ref)) * up(dp)))
-
-    # Mixing boundaries, through the mixture-inference path, and the gate
-    # forward against numpy.
-    spec = models.ModelSpec("mlp", channels=1, side=8, classes=4, hidden_sizes=(6,))
-    glob = models.build_model(spec, seed=4)
-    head = models.build_model(spec, seed=5).classifier
-    gate = {"weight": Tensor(rng.normal(size=(64, 1))), "bias": Tensor(rng.normal(size=1))}
-    client = personalization.PersonalizedClient(0, "pfl_mf", head, gate, glob)
-    raw = Tensor(rng.uniform(size=(10, 1, 8, 8)))
-    feats = models.extract_features(glob, raw)
-    _, to_global = personalization.mixture(client, raw, feats, gate_override=1.0)
-    _, to_local = personalization.mixture(client, raw, feats, gate_override=0.0)
-    check("mix at g=1 returns the global expert",
-          np.array_equal(to_global.data, models.classify(glob, feats).data))
-    check("mix at g=0 returns the local expert",
-          np.array_equal(to_local.data, models.classify(glob, feats, classifier=head).data))
-    v = raw.data.reshape(10, -1)
-    g = models.gate_graph(models.param_consts(gate), graph.const(v)).data
-    want = 1.0 / (1.0 + np.exp(-(v @ gate["weight"].data + gate["bias"].data)))[:, 0]
-    err = float(np.abs(g - want).max())
-    check(f"gate_graph matches sigmoid(v @ w + b) (max abs err {err:.2e})", err < 1e-12)
-
-    # Checkpoint round trip.
-    spec = models.ModelSpec("mlp", channels=1, classes=3, hidden_sizes=(6,))
-    params = models.build_model(spec, seed=3)
+    params = models.build_model(models.ModelSpec("mlp", channels=1, classes=3, hidden_sizes=(6,)), seed=3)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "m.ckpt"
-        checkpoint.save_model(path, params, extra={"seed": 3})
-        loaded, _ = checkpoint.load_model(path)
-        ok = all(np.array_equal(loaded.tensors[k].data, params.tensors[k].data) for k in params.tensors)
+        try:
+            checkpoint.save_model(Path(tmp) / "m.ckpt", params)
+            loaded = checkpoint.load_model(Path(tmp) / "m.ckpt")[0].tensors
+            ok = all(np.array_equal(loaded[key].data, t.data) for key, t in params.tensors.items())
+        except FedmoeError:
+            ok = False
     check("checkpoint round trip preserves every bit", ok)
-
     print("selftest:", "ok" if failures == 0 else f"{failures} failure(s)")
     return 0 if failures == 0 else 1
 
@@ -530,7 +477,7 @@ def _parser() -> argparse.ArgumentParser:
     r = sub.add_parser("report", help="aggregate metrics CSVs into a report")
     r.add_argument("metrics", nargs="+", help="metrics CSV files")
     r.add_argument("--out", default="runs/latest", help="output directory")
-    sub.add_parser("selftest", help="run quick built-in property checks")
+    sub.add_parser("selftest", help="check the BLAS-backed kernels and the checkpoint bytes of this install")
     return parser
 
 

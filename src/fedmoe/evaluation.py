@@ -173,7 +173,8 @@ class ReportSummary:
 
 
 def summarize(records: Sequence[MetricsRecord], baseline: str = "fedavg") -> ReportSummary:
-    """Per-algorithm means plus per-client accuracy deltas against a baseline."""
+    """Per-algorithm means plus per-client accuracy deltas against the
+    baseline record of the same run and client."""
     by_alg: dict[str, list[MetricsRecord]] = {}
     for r in records:
         by_alg.setdefault(r.algorithm, []).append(r)
@@ -187,15 +188,15 @@ def summarize(records: Sequence[MetricsRecord], baseline: str = "fedavg") -> Rep
         for alg, recs in sorted(by_alg.items())
     )
     deltas: dict[str, list[tuple[int | str, float, float]]] = {}
-    base = {r.client_id: r for r in by_alg.get(baseline, [])}
+    base = {(r.run_id, r.client_id): r for r in by_alg.get(baseline, [])}
     if base:
         for alg, recs in sorted(by_alg.items()):
             if alg == baseline:
                 continue
             rows_for_alg = [
-                (r.client_id, r.local_acc - base[r.client_id].local_acc, r.global_acc - base[r.client_id].global_acc)
+                (r.client_id, r.local_acc - b.local_acc, r.global_acc - b.global_acc)
                 for r in recs
-                if r.client_id in base
+                if (b := base.get((r.run_id, r.client_id))) is not None
             ]
             if rows_for_alg:
                 deltas[alg] = rows_for_alg

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 from fedmoe import checkpoint, cli, data, evaluation, personalization
 from fedmoe.config import load_config
-from fedmoe.numerics import Tensor
+from fedmoe.numerics import Tensor, kernels
 from mutants import assert_every_mutant_loads_or_raises_a_typed_error
 
 CONFIG = """
@@ -427,6 +428,32 @@ class TestReportCommand:
             _, _, dl, dg = line.split(",")
             assert float(dl) == 0.0 and float(dg) == 0.0
 
+    def test_deltas_pair_each_client_with_its_own_run(self, tmp_path):
+        # Two runs with the same client ids; each run's fedavg record is its baseline.
+        local_acc = {("seed11", "fedavg"): (0.70, 0.40), ("seed12", "fedavg"): (0.80, 0.60),
+                 ("seed11", "pfl_mf"): (0.75, 0.30), ("seed12", "pfl_mf"): (0.95, 0.50)}
+        paths = []
+        for (run_id, alg), accs in local_acc.items():
+            path = tmp_path / f"metrics_{alg}_{run_id}.csv"
+            records = [evaluation.MetricsRecord(run_id, alg, cid, acc, 0.5, int(run_id[4:])) for cid, acc in enumerate(accs)]
+            evaluation.write_metrics_csv(records, path)
+            paths.append(path)
+        out = tmp_path / "report"
+        run(["report", *paths, "--out", out])
+        rows = [line.split(",") for line in (out / "deltas.csv").read_text().splitlines()[1:]]
+        got = [(alg, int(cid), round(float(dl), 10)) for alg, cid, dl, _ in rows]
+        assert got == [("pfl_mf", 0, 0.05), ("pfl_mf", 1, -0.1), ("pfl_mf", 0, 0.15), ("pfl_mf", 1, -0.1)]
+
+    def test_repeated_client_of_one_run_is_an_error_line(self, tmp_path, capsys):
+        records = [evaluation.MetricsRecord("seed11", "pfl_mf", i, 0.5, 0.5, 11) for i in range(3)]
+        path = tmp_path / "m.csv"
+        evaluation.write_metrics_csv(records, path)
+        out = tmp_path / "report"
+        assert cli.main(["report", str(path), str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: report: pfl_mf client 0 of run seed11 appears in both {path} "
+                                           f"and {path}; pass each run's metrics once\n")
+        assert not out.exists()
+
     def test_matches_hand_computed_means(self, workspace, tmp_path):
         rows = [(0, 0.8, 0.3), (1, 0.6, 0.5), (2, 0.7, 0.7)]
         records = [evaluation.MetricsRecord("r", "local", c, l, g, 1) for c, l, g in rows]
@@ -626,6 +653,52 @@ def test_rerun_with_fewer_clients_leaves_only_its_own_client_checkpoints(tmp_pat
     assert personalize(tmp_path / "rerun", 3) == fresh
 
 
+def _finished_run(out, config, seed):
+    for command in (["partition"], ["fedavg"], ["personalize", "--algorithm", "pfl_mf"]):
+        run([*command, "--config", config, "--seed", seed, "--out", out])
+    return sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+
+
+# Each takes the artifact and the same file of another seed's run.
+RUN_DIR_MUTATIONS = {
+    "delete": lambda path, other: path.unlink(),
+    "directory": lambda path, other: (path.unlink(), path.mkdir()),
+    "truncate": lambda path, other: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+    "other seed": lambda path, other: shutil.copyfile(other, path),
+}
+
+
+@pytest.mark.parametrize("mutation", RUN_DIR_MUTATIONS)
+def test_every_run_directory_mutant_runs_or_ends_in_one_error_line(workspace, tmp_path, capsys, mutation):
+    config, out = workspace
+    artifacts = _finished_run(out, config, 11)
+    assert len(artifacts) == 15
+    other = tmp_path / "seed12"
+    assert _finished_run(other, config, 12) == artifacts
+    escapes = []
+    for artifact in artifacts:
+        for command in (["personalize", "--algorithm", "pfl_fb"], ["personalize", "--algorithm", "pfl_mf"],
+                        ["report", "metrics_fedavg.csv", "metrics_pfl_mf.csv"]):
+            mutant = tmp_path / "mutant"
+            shutil.rmtree(mutant, ignore_errors=True)
+            shutil.copytree(out, mutant)
+            RUN_DIR_MUTATIONS[mutation](mutant / artifact, other / artifact)
+            if command[0] == "report":
+                args = ["report", *(mutant / name for name in command[1:]), "--out", tmp_path / "report"]
+            else:
+                args = [*command, "--config", config, "--out", mutant]
+            capsys.readouterr()
+            try:
+                code = cli.main([str(a) for a in args])
+            except Exception as e:  # a traceback for the user
+                escapes.append(f"{artifact} {command[:2]}: {e!r}")
+                continue
+            err = capsys.readouterr().err
+            if code not in (0, 2) or (code == 2 and not (err.startswith("error: ") and err.count("\n") == 1)):
+                escapes.append(f"{artifact} {command[:2]}: exit {code}, {err!r}")
+    assert not escapes
+
+
 def test_percent_in_the_output_path_is_literal(tmp_path):
     config = tmp_path / "exp.ini"
     config.write_text(CONFIG.format(out=tmp_path / "runs" / "50%"))
@@ -633,13 +706,47 @@ def test_percent_in_the_output_path_is_literal(tmp_path):
     assert (tmp_path / "runs" / "50%" / "partition.json").exists()
 
 
+def _first_cell_moved(kernel):
+    def moved(*args):
+        out = np.array(kernel(*args))
+        out.flat[0] += 1e-6
+        return out
+    return moved
+
+
+def _one_byte_flipped(save):
+    def flipped(path, tensors, manifest):
+        save(path, tensors, manifest)
+        blob = bytearray(Path(path).read_bytes())
+        blob[-1] ^= 1  # the last payload value's high byte
+        Path(path).write_bytes(bytes(blob))
+    return flipped
+
+
+# Each check selftest keeps, and a fault that only it can see.
+SELFTEST_FAULTS = {
+    "conv2d": (kernels, "conv2d", _first_cell_moved),
+    "conv2d_input_grad": (kernels, "conv2d_input_grad", _first_cell_moved),
+    "conv2d_kernel_grad": (kernels, "conv2d_kernel_grad", lambda kernel: lambda *args: kernel(*args)[:, :, ::-1]),
+    "checkpoint round trip": (checkpoint, "save_tensors", _one_byte_flipped),
+}
+
+
 class TestSelftestCommand:
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        for kernel in ("conv2d", "conv2d_input_grad", "conv2d_kernel_grad", "max_pool2x2", "max_pool2x2_grad"):
-            assert f"PASS  {kernel} " in out
+        for check in SELFTEST_FAULTS:
+            assert f"PASS  {check} " in out
+
+    @pytest.mark.parametrize("check", SELFTEST_FAULTS)
+    def test_a_fault_fails_exactly_its_own_check(self, capsys, monkeypatch, check):
+        module, name, fault = SELFTEST_FAULTS[check]
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        assert cli.main(["selftest"]) == 1
+        fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+        assert len(fails) == 1 and fails[0].startswith(f"  FAIL  {check} ")
 
 
 class TestFullPipelineDeterminism:

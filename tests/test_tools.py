@@ -95,6 +95,32 @@ def test_blas_thread_count_reaches_every_command(tmp_path, monkeypatch, capsys, 
     assert {env[v] for env in envs for v in tool.THREAD_VARS} == {threads or "1"}
 
 
+@pytest.mark.parametrize("workers", [None, "2", "0"])
+def test_worker_count_reaches_every_command_but_report(tmp_path, monkeypatch, capsys, workers):
+    tool = load_tool()
+    config = tmp_path / "tiny.ini"
+    config.write_text(TINY_CONFIG)
+    commands = []
+
+    def fake_run(cmd, env, **_):
+        commands.append(ast.literal_eval(re.search(r"main\((\[.*\])\)", cmd[-1]).group(1)))
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    argv = ["--config", str(config), "--out", str(tmp_path / "out")] + (["--workers", workers] if workers else [])
+    if workers == "0":
+        with pytest.raises(SystemExit) as e:
+            tool.main(argv)
+        assert e.value.code == 2 and "--workers must be at least 1, got 0" in capsys.readouterr().err
+        assert not commands
+        return
+    tool.main(argv)
+    assert [c[0] for c in commands] == ["partition", "fedavg"] + ["personalize"] * 5 + ["report"]
+    for args in commands[:-1]:
+        assert args[args.index("--workers") + 1] == (workers or "1")
+    assert "--workers" not in commands[-1]
+
+
 BENCH_PAIRS = TOOL.parent / "bench_pairs.py"
 DECLARED = [{"name": "pfl_fb_s", "unit": "s", "better": "lower"},
             {"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]

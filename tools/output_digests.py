@@ -3,11 +3,11 @@
 Runs ``partition``, ``fedavg``, ``personalize`` for each of the five
 algorithms and ``report`` over the run's ``metrics_*.csv`` (writing
 ``report.csv`` and ``deltas.csv`` into the output directory), each command
-in a fresh process with ``--blas-threads`` BLAS threads (default 1), then
-prints one sorted ``<sha256>  <path relative to the output dir>`` line per
-file. Comparing
-these lines between two checkouts shows whether a change kept every output
-byte-identical::
+in a fresh process with ``--blas-threads`` BLAS threads (default 1), and
+every command but ``report`` with ``--workers`` client workers (default 1),
+then prints one sorted ``<sha256>  <path relative to the output dir>`` line
+per file. Comparing these lines between two checkouts shows whether a change
+kept every output byte-identical::
 
     python3 tools/output_digests.py --workload lenet5 --seed 0 --out /tmp/digests --src ../parent/src > parent.txt
     rm -rf /tmp/digests
@@ -26,6 +26,9 @@ between two thread counts of one checkout::
     rm -rf /tmp/digests
     python3 tools/output_digests.py --workload lenet5 --seed 0 --out /tmp/digests --blas-threads 2 > two.txt
     diff one.txt two.txt
+
+and ``--workers 2`` in place of ``--blas-threads 2`` compares two worker
+counts. The manifests record the worker count, so they differ there.
 """
 
 from __future__ import annotations
@@ -54,9 +57,10 @@ def _workload_ini(name: str, seed: int, out: Path) -> str:
     return workloads.WORKLOADS[name].ini(seed, out)
 
 
-def run_pipeline(config: Path, out: Path, src: Path, blas_threads: int = 1) -> None:
-    """Every pipeline command on one INI, then ``report`` over its metrics
-    CSVs, one fresh process each with ``blas_threads`` BLAS threads."""
+def run_pipeline(config: Path, out: Path, src: Path, blas_threads: int = 1, workers: int = 1) -> None:
+    """Every pipeline command on one INI with ``workers`` client workers, then
+    ``report`` over its metrics CSVs, one fresh process each with
+    ``blas_threads`` BLAS threads."""
     env = {**os.environ, "PYTHONPATH": str(src), **{v: str(blas_threads) for v in THREAD_VARS}}
 
     def run(*args: str) -> None:
@@ -67,7 +71,7 @@ def run_pipeline(config: Path, out: Path, src: Path, blas_threads: int = 1) -> N
 
     commands = [["partition"], ["fedavg"]] + [["personalize", "--algorithm", a] for a in ALGORITHMS]
     for command in commands:
-        run(*command, "--config", str(config), "--out", str(out))
+        run(*command, "--config", str(config), "--out", str(out), "--workers", str(workers))
     run("report", *sorted(str(p) for p in out.glob("metrics_*.csv")), "--out", str(out))
 
 
@@ -87,11 +91,13 @@ def main(argv=None) -> list[str]:
     parser.add_argument("--out", type=Path, required=True, help="output directory, empty or missing")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="fedmoe sources to run")
     parser.add_argument("--blas-threads", type=int, default=1, help="BLAS threads of every command (default 1)")
+    parser.add_argument("--workers", type=int, default=1, help="client workers of every command but report (default 1)")
     args = parser.parse_args(argv)
     if args.workload is not None and args.seed is None:
         parser.error("--workload needs --seed")
-    if args.blas_threads < 1:
-        parser.error(f"--blas-threads must be at least 1, got {args.blas_threads}")
+    for flag, value in (("--blas-threads", args.blas_threads), ("--workers", args.workers)):
+        if value < 1:
+            parser.error(f"{flag} must be at least 1, got {value}")
     out = args.out.resolve()
     if out.exists() and any(out.iterdir()):
         parser.error(f"{out} is not empty; remove it first")
@@ -100,7 +106,7 @@ def main(argv=None) -> list[str]:
         if config is None:
             config = Path(tmp) / "experiment.ini"
             config.write_text(_workload_ini(args.workload, args.seed, out))
-        run_pipeline(config.resolve(), out, args.src.resolve(), args.blas_threads)
+        run_pipeline(config.resolve(), out, args.src.resolve(), args.blas_threads, args.workers)
     lines = digests(out)
     print("\n".join(lines))
     return lines
