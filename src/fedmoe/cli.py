@@ -389,9 +389,10 @@ def cmd_report(metric_paths: list[str], out_dir: Path) -> int:
     make_dir(out_dir, "report directory")
     with atomic_open(out_dir / "report.csv", "report", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["algorithm", "clients", "mean_local_acc", "mean_global_acc"])
+        writer.writerow(["algorithm", "clients", "mean_local_acc", "mean_global_acc", "runs"])
         for row in summary.rows:
-            writer.writerow([row.algorithm, row.clients, f"{row.mean_local_acc:.10f}", f"{row.mean_global_acc:.10f}"])
+            writer.writerow([row.algorithm, row.clients, f"{row.mean_local_acc:.10f}", f"{row.mean_global_acc:.10f}",
+                             row.runs])
 
     with atomic_open(out_dir / "deltas.csv", "deltas", newline="") as f:
         writer = csv.writer(f)
@@ -400,12 +401,12 @@ def cmd_report(metric_paths: list[str], out_dir: Path) -> int:
             for cid, dl, dg in summary.deltas[alg]:
                 writer.writerow([alg, cid, f"{dl:.10f}", f"{dg:.10f}"])
 
-    width = max(len(r.algorithm) for r in summary.rows)
-    print(f"{'algorithm'.ljust(width)}  clients  local%   global%")
+    width = max(len("algorithm"), *(len(r.algorithm) for r in summary.rows))
+    print(f"{'algorithm'.ljust(width)}  clients  local%   global%  runs")
     for row in summary.rows:
         print(
             f"{row.algorithm.ljust(width)}  {row.clients:7d}  {100 * row.mean_local_acc:6.2f}   "
-            f"{100 * row.mean_global_acc:6.2f}"
+            f"{100 * row.mean_global_acc:6.2f}  {row.runs:4d}"
         )
     return 0
 

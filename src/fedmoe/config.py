@@ -76,6 +76,8 @@ DEFAULTS = {
 
 # The INI key of each dataclass field whose name differs from its key.
 _KEYS = {"learning_rate": "lr", "batch_size": "batch"}
+# The INI key prefix of each nested dataclass field that has one: adapt.learning_rate is adapt_lr.
+_PREFIX = {"adapt": "adapt_", "gate": "gate_"}
 # The [dataset] keys that DatasetConfig holds as idx_paths.
 _IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
 # local trains with the [local_baseline] keys; the others adapt with [personalization].
@@ -174,16 +176,17 @@ class _Section:
         except ValueError:
             raise ConfigError(f"{self.origin[key]}.{key}: expected {needs}, got {self.values[key]!r}") from None
 
-    def build(self, cls, **derived):
+    def build(self, cls, prefix="", **derived):
         """``cls`` from the derived values and from every field whose INI key
-        this section has, converted by the field's type. A ``ConfigError``
-        that ``cls`` raises for a field names the key and where it was set."""
+        (``prefix``, then the field's key) this section has, converted by the
+        field's type. A ``ConfigError`` that ``cls`` raises for a field names
+        the key and where it was set."""
         kinds = _field_types(cls)
         kwargs = dict(derived)
         for f in fields(cls):
-            key = _KEYS.get(f.name, f.name)
+            key = prefix + _KEYS.get(f.name, f.name)
             if is_dataclass(kinds[f.name]):
-                kwargs[f.name] = self.build(kinds[f.name])
+                kwargs[f.name] = self.build(kinds[f.name], _PREFIX.get(f.name, ""))
             elif f.name not in derived and key in self.values:
                 kwargs[f.name] = self.read[key] = self.value(key, kinds[f.name])
         self.read.update(derived)
@@ -191,7 +194,7 @@ class _Section:
             return cls(**kwargs)
         except ConfigError as e:
             name, _, reason = str(e).partition(": ")
-            key = _KEYS.get(name, name)
+            key = prefix + _KEYS.get(name, name)
             raise ConfigError(f"{self.origin.get(key, self.name)}.{key}: {reason}") from None
 
 

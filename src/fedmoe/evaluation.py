@@ -125,16 +125,16 @@ def read_metrics_csv(path) -> list[MetricsRecord]:
 def _metrics_record(path, line: int, row: dict) -> MetricsRecord:
     """One metrics CSV row, at ``line`` of ``path``."""
     def read(column: str, convert=str):
-        value = row.get(column)
-        if value is not None:
-            try:
-                return convert(value)
-            except ValueError:
-                pass
-        raise DataFormatError(f"{path} line {line}, column {column}: cannot read {value!r}")
+        try:
+            return convert(row[column])
+        except ValueError:
+            raise DataFormatError(f"{path} line {line}, column {column}: cannot read {row[column]!r}") from None
 
     if None in row:  # csv.DictReader files the values beyond the header under None
         raise DataFormatError(f"{path} line {line}: {len(row[None])} more value(s) than the header has columns")
+    given = sum(value is not None for value in row.values())
+    if given < len(row):  # and gives the columns beyond the values None
+        raise DataFormatError(f"{path} line {line} has {given} values, the header has {len(row)} columns")
     client_id, mean_g = read("client_id"), row.get("mean_g")
     return MetricsRecord(
         run_id=read("run_id"),
@@ -160,9 +160,10 @@ def write_metrics_jsonl(records: Iterable[MetricsRecord], path) -> None:
 @dataclass(frozen=True)
 class AlgorithmSummary:
     algorithm: str
-    clients: int
+    clients: int  # distinct client ids
     mean_local_acc: float
     mean_global_acc: float
+    runs: int  # distinct run ids
 
 
 @dataclass(frozen=True)
@@ -173,17 +174,18 @@ class ReportSummary:
 
 
 def summarize(records: Sequence[MetricsRecord], baseline: str = "fedavg") -> ReportSummary:
-    """Per-algorithm means plus per-client accuracy deltas against the
-    baseline record of the same run and client."""
+    """Per-algorithm means over every record of every run, plus per-client
+    accuracy deltas against the baseline record of the same run and client."""
     by_alg: dict[str, list[MetricsRecord]] = {}
     for r in records:
         by_alg.setdefault(r.algorithm, []).append(r)
     rows = tuple(
         AlgorithmSummary(
             algorithm=alg,
-            clients=len(recs),
+            clients=len({r.client_id for r in recs}),
             mean_local_acc=float(np.mean([r.local_acc for r in recs])),
             mean_global_acc=float(np.mean([r.global_acc for r in recs])),
+            runs=len({r.run_id for r in recs}),
         )
         for alg, recs in sorted(by_alg.items())
     )

@@ -228,38 +228,35 @@ def per_image_doubles(spec: ModelSpec) -> int:
 
 def _blocked(model: ModelParams, x: Tensor, run_graph, tensors: dict[str, Tensor]) -> Tensor:
     """``run_graph`` on ``tensors`` over consecutive blocks of a batch
-    (B,C,S,S) or a single example (C,S,S), concatenated; a block holds
-    max(1, BUDGET // per_image_doubles) images."""
-    single = x.ndim == 3
-    data = x.data[None] if single else x.data
-    if data.ndim != 4 or data.shape[1:] != model.spec.input_shape:
+    (B,C,S,S), concatenated; a block holds max(1, BUDGET // per_image_doubles)
+    images."""
+    if x.ndim != 4 or x.shape[1:] != model.spec.input_shape:
         raise DimensionError(f"model input {x.shape} does not match spec {model.spec.input_shape}")
     values, step = param_consts(tensors), max(1, BUDGET // per_image_doubles(model.spec))
-    out = np.concatenate([run_graph(model.spec, values, graph.const(data[lo : lo + step])).data
-                          for lo in range(0, len(data), step)])
-    return Tensor._wrap(out[0] if single else out)
+    out = np.concatenate([run_graph(model.spec, values, graph.const(x.data[lo : lo + step])).data
+                          for lo in range(0, len(x), step)])
+    return Tensor._wrap(out)
 
 
 def forward(model: ModelParams, x: Tensor) -> Tensor:
-    """Raw logits for a batch (B,C,S,S) or a single example (C,S,S)."""
+    """Raw logits for a batch (B,C,S,S)."""
     return _blocked(model, x, forward_graph, model.tensors)
 
 
 def extract_features(model: ModelParams, x: Tensor) -> Tensor:
-    """Activations between extractor and classifier (length feature_dim)."""
+    """Activations between extractor and classifier (B, feature_dim) for a
+    batch (B,C,S,S)."""
     return _blocked(model, x, extract_graph, model.extractor)
 
 
 def classify(model: ModelParams, a: Tensor, classifier: dict[str, Tensor] | None = None) -> Tensor:
-    """Classifier logits from features; ``classifier`` overrides the model's head."""
+    """Classifier logits from features (B, feature_dim); ``classifier``
+    overrides the model's head."""
     head = model.classifier if classifier is None else classifier
-    single = a.ndim == 1
-    data = a.data[None] if single else a.data
     dim = model.spec.feature_dim
-    if data.ndim != 2 or data.shape[1] != dim:
+    if a.ndim != 2 or a.shape[1] != dim:
         raise DimensionError(f"features {a.shape} do not match feature_dim {dim}")
-    out = classify_graph(model.spec, param_consts(head), graph.const(data)).data
-    return Tensor._wrap(out[0] if single else out)
+    return Tensor._wrap(classify_graph(model.spec, param_consts(head), graph.const(a.data)).data)
 
 
 def gate_input_dim(spec: ModelSpec, input_mode: str) -> int:

@@ -49,46 +49,26 @@ MOE_ALGORITHMS = tuple(GATE_INPUT)
 
 @dataclass(frozen=True)
 class PersonalizationConfig:
-    """One algorithm's personalization settings; ``config.DEFAULTS`` holds
-    the reference values."""
+    """One algorithm's personalization settings: ``adapt`` steps the adapted
+    model or head at a fixed small lr, ``gate`` steps the gate of pfl_mf and
+    pfl_mfe. ``config.DEFAULTS`` holds the reference values."""
 
     algorithm: str
     epochs: int
-    adapt_lr: float
-    gate_lr: float
+    adapt: SgdConfig
+    gate: SgdConfig
     batch_size: int
     split_ratio: float
-    adapt_momentum: float
-    adapt_weight_decay: float
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm: expected one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.epochs < 1:
             raise ConfigError(f"epochs: need at least 1, got {self.epochs}")
-        for name in ("adapt_lr", "gate_lr"):
-            value = getattr(self, name)
-            if not 0.0 < value < float("inf"):
-                raise ConfigError(f"{name}: must be positive and finite, got {value}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size: must be positive, got {self.batch_size}")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError(f"split_ratio: must lie in (0, 1), got {self.split_ratio}")
-        if not 0.0 <= self.adapt_momentum < 1.0:
-            raise ConfigError(f"adapt_momentum: must lie in [0, 1), got {self.adapt_momentum}")
-        if not 0.0 <= self.adapt_weight_decay < float("inf"):
-            raise ConfigError(f"adapt_weight_decay: must be finite and nonnegative, got {self.adapt_weight_decay}")
-
-    def adapt_sgd(self) -> SgdConfig:
-        # Fixed small lr, no decay, over the adaptation epochs.
-        return SgdConfig(
-            learning_rate=self.adapt_lr,
-            momentum=self.adapt_momentum,
-            weight_decay=self.adapt_weight_decay,
-        )
-
-    def gate_sgd(self) -> SgdConfig:
-        return SgdConfig(learning_rate=self.gate_lr)
 
 
 @dataclass(frozen=True)
@@ -130,7 +110,7 @@ def pfl_ft(
     client_id: int = 0,
 ) -> PersonalizedClient:
     """Fine-tune the whole model from the global parameters at a small lr."""
-    trained = sgd_epochs(global_params, client_data, cfg.epochs, cfg.batch_size, cfg.adapt_sgd(),
+    trained = sgd_epochs(global_params, client_data, cfg.epochs, cfg.batch_size, cfg.adapt,
                          np.random.default_rng(seed), "pfl_ft", client_id)
     return PersonalizedClient(client_id, "pfl_ft", trained.tensors, None, global_params)
 
@@ -236,7 +216,7 @@ def _train_heads(
                             np.concatenate([c.labels for c in cached]))
     sizes, ids = [len(c.labels) for c in cached], [c.client_id for c in cached]
     rngs = [np.random.default_rng(c.seed) for c in cached]
-    adapt_state, adapt_sgd = OptimizerState(), cfg.adapt_sgd()
+    adapt_state = OptimizerState()
     mode = GATE_INPUT.get(algorithm)
     if mode is not None:
         gates = _stack(init_gate(model.spec, mode), len(cached))
@@ -244,9 +224,9 @@ def _train_heads(
         global_logits = np.concatenate([c.global_logits for c in cached])
         gate_labels = np.concatenate([c.gate_labels for c in cached])
         gate_sizes = [len(c.gate_labels) for c in cached]
-        gate_state, gate_sgd = OptimizerState(), cfg.gate_sgd()
+        gate_state = OptimizerState()
     for _ in range(cfg.epochs):
-        sgd_epoch(heads, sizes, cfg.batch_size, adapt_loss, adapt_state, adapt_sgd, rngs, algorithm, ids)
+        sgd_epoch(heads, sizes, cfg.batch_size, adapt_loss, adapt_state, cfg.adapt, rngs, algorithm, ids)
         if mode is None:
             continue
         local_logits = np.concatenate([
@@ -254,7 +234,7 @@ def _train_heads(
             for k, c in enumerate(cached)
         ])
         loss_fn = gate_loss(gate_inputs, global_logits, local_logits, gate_labels)
-        sgd_epoch(gates, gate_sizes, cfg.batch_size, loss_fn, gate_state, gate_sgd, rngs, algorithm, ids)
+        sgd_epoch(gates, gate_sizes, cfg.batch_size, loss_fn, gate_state, cfg.gate, rngs, algorithm, ids)
     clients = []
     for k, c in enumerate(cached):
         gate = mean_g = None
@@ -304,28 +284,17 @@ def personalize_heads(
     return out
 
 
-def mixture(
-    client: PersonalizedClient,
-    raw: Tensor,
-    features: Tensor,
-    gate_override: float | None = None,
-) -> tuple[Tensor, Tensor]:
+def mixture(client: PersonalizedClient, raw: Tensor, features: Tensor) -> tuple[Tensor, Tensor]:
     """The one mixture-inference path: per-example gate weights g and the
     mixed logits g * global + (1 - g) * personalized for an input batch.
 
     ``raw`` is the batch (B, C, S, S) and ``features`` the shared extractor's
-    activations of it. ``gate_override`` in [0, 1] sets every g for boundary
-    checks. Returns (g, logits).
+    activations of it. Returns (g, logits).
     """
-    if gate_override is not None and not 0.0 <= gate_override <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {gate_override}")
     if client.gate is None:
         raise UsageError(f"client {client.client_id} ({client.algorithm}) has no gating network")
-    if gate_override is None:
-        inputs = _gate_inputs(GATE_INPUT[client.algorithm], raw, features)
-        g = gate_graph(param_consts(client.gate), graph.const(inputs)).data
-    else:
-        g = np.full(len(raw), float(gate_override))
+    inputs = _gate_inputs(GATE_INPUT[client.algorithm], raw, features)
+    g = gate_graph(param_consts(client.gate), graph.const(inputs)).data
     global_out = classify(client.global_model, features)
     local_out = classify(client.global_model, features, classifier=client.personalized)
     mixed = graph.mix(graph.const(g), graph.const(global_out), graph.const(local_out))

@@ -1,4 +1,10 @@
+import dataclasses
 import sys
+
+import numpy as np
+import pytest
+
+from fedmoe.numerics import Tensor
 
 
 def pytest_runtest_logreport(report):
@@ -11,3 +17,16 @@ def pytest_runtest_logreport(report):
         sys.stderr.write(f"\n[acceptance] {name}: {outcome}\n")
     elif report.when == "setup" and report.skipped:
         sys.stderr.write(f"\n[acceptance] {name}: SKIP\n")
+
+
+@pytest.fixture
+def clamp_gate():
+    """``clamp_gate(client, g)``: the mixture client with a gate that gives
+    g = 1 or g = 0 exactly on every input. Its weight is zero and its bias
+    +1000 or -1000, where the sigmoid saturates."""
+    def clamp(client, g):
+        weight = np.zeros(client.gate["weight"].shape)
+        bias = np.array([{1: 1000.0, 0: -1000.0}[g]])
+        return dataclasses.replace(client, gate={"weight": Tensor(weight), "bias": Tensor(bias)})
+
+    return clamp

@@ -181,7 +181,7 @@ def test_criterion_2_degenerate_federation_equivalence():
     assert all(np.all(t.data == 2.0) for t in uniform.tensors.values())
 
 
-def test_criterion_3_mixing_boundary_identities():
+def test_criterion_3_mixing_boundary_identities(clamp_gate):
     """Clamping the gate to 1 (resp. 0) reproduces the global (resp.
     personalized) model's argmax on 1000 random inputs with zero violations."""
     spec = models.ModelSpec("mlp", channels=1, classes=6, hidden_sizes=(20,))
@@ -195,17 +195,17 @@ def test_criterion_3_mixing_boundary_identities():
     )
     client, = personalization.personalize_heads(
         "pfl_mf", glob, [head_client],
-        personalization.PersonalizationConfig("pfl_mf", epochs=3, adapt_lr=0.02, gate_lr=0.05, batch_size=16,
-                                              split_ratio=0.8, adapt_momentum=0.9, adapt_weight_decay=0.0005),
+        personalization.PersonalizationConfig("pfl_mf", epochs=3, adapt=SgdConfig(0.02, 0.9, 0.0005),
+                                              gate=SgdConfig(0.05), batch_size=16, split_ratio=0.8),
     )
 
     inputs = Tensor(np.random.default_rng(11).uniform(size=(1000, 1, 32, 32)))
     feats = models.extract_features(glob, inputs)
-    _, to_global = personalization.mixture(client, inputs, feats, gate_override=1.0)
+    _, to_global = personalization.mixture(clamp_gate(client, 1), inputs, feats)
     global_argmax = models.forward(glob, inputs).data.argmax(axis=1)
     violations_one = int((to_global.data.argmax(axis=1) != global_argmax).sum())
 
-    _, to_local = personalization.mixture(client, inputs, feats, gate_override=0.0)
+    _, to_local = personalization.mixture(clamp_gate(client, 0), inputs, feats)
     local_argmax = models.classify(glob, feats, classifier=client.personalized).data.argmax(axis=1)
     violations_zero = int((to_local.data.argmax(axis=1) != local_argmax).sum())
 

@@ -444,6 +444,21 @@ class TestReportCommand:
         got = [(alg, int(cid), round(float(dl), 10)) for alg, cid, dl, _ in rows]
         assert got == [("pfl_mf", 0, 0.05), ("pfl_mf", 1, -0.1), ("pfl_mf", 0, 0.15), ("pfl_mf", 1, -0.1)]
 
+    def test_two_runs_count_distinct_clients_and_runs(self, tmp_path, capsys):
+        # Two seeds of a 6-client run: 6 clients, 2 runs, means over all 12 records.
+        paths = []
+        for seed, acc in ((11, 0.5), (12, 0.7)):
+            path = tmp_path / f"metrics_pfl_mf_{seed}.csv"
+            records = [evaluation.MetricsRecord(f"seed{seed}", "pfl_mf", cid, acc, acc / 2, seed) for cid in range(6)]
+            evaluation.write_metrics_csv(records, path)
+            paths.append(path)
+        out = tmp_path / "report"
+        run(["report", *paths, "--out", out])
+        assert (out / "report.csv").read_text().splitlines() == [
+            "algorithm,clients,mean_local_acc,mean_global_acc,runs", "pfl_mf,6,0.6000000000,0.3000000000,2"]
+        assert capsys.readouterr().out.splitlines() == [
+            "algorithm  clients  local%   global%  runs", "pfl_mf           6   60.00    30.00     2"]
+
     def test_repeated_client_of_one_run_is_an_error_line(self, tmp_path, capsys):
         records = [evaluation.MetricsRecord("seed11", "pfl_mf", i, 0.5, 0.5, 11) for i in range(3)]
         path = tmp_path / "m.csv"
@@ -483,11 +498,14 @@ class TestReportCommand:
         ("run_id,algorithm,client_id,local_acc,global_acc,seed\nr,local,0,0.5,0.4,1\nr,local,1,high,0.4,1\n",
          "{path} line 3, column local_acc: cannot read 'high'"),
         ("run_id,algorithm,client_id,local_acc,global_acc,seed\nr,local,0,0.5\n",
-         "{path} line 2, column global_acc: cannot read None"),
+         "{path} line 2 has 4 values, the header has 6 columns"),
+        ("run_id,algorithm,client_id,local_acc,global_acc,seed,mean_g\nr,pfl_mf,0,0.5,0.4,1,0.5\nr,pfl_mf,1,0.5,0.4,1\n",
+         "{path} line 3 has 6 values, the header has 7 columns"),
         ("run_id,algorithm,client_id,local_acc,global_acc,seed\nr,local,0,0.5,0.4,1,0.9\n",
          "{path} line 2: 1 more value(s) than the header has columns"),
         (b"\xff\xfe\x00binary", "{path} is not a readable CSV file"),
-    ], ids=["missing file", "no header", "non-numeric local_acc", "short row", "long row", "binary file"])
+    ], ids=["missing file", "no header", "non-numeric local_acc", "short row", "row without its mean_g", "long row",
+            "binary file"])
     def test_bad_metrics_file_is_an_error_line(self, tmp_path, capsys, content, message):
         path = tmp_path / "m.csv"
         if isinstance(content, bytes):

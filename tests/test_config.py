@@ -1,10 +1,16 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from fedmoe.config import DEFAULTS, load_config
+from fedmoe.config import DEFAULTS, DatasetConfig, LocalBaselineConfig, load_config
+from fedmoe.data import PartitionSpec
 from fedmoe.errors import ConfigError
+from fedmoe.federation import FedConfig, derive_seed
+from fedmoe.models import ModelSpec
+from fedmoe.numerics import SgdConfig
+from fedmoe.personalization import PersonalizationConfig
 from mutants import assert_every_mutant_loads_or_raises_a_typed_error
 
 
@@ -54,8 +60,8 @@ def test_defaults_follow_reference_hyperparameters(tmp_path):
     assert cfg.local_baseline.batch == 64
     pfl = cfg.personalization["pfl_mf"]
     assert pfl.epochs == 200
-    assert pfl.adapt_lr == pytest.approx(0.001)
-    assert pfl.gate_lr == pytest.approx(0.001)
+    assert pfl.adapt == SgdConfig(0.001, momentum=0.9, weight_decay=0.0005)
+    assert pfl.gate == SgdConfig(0.001)
     assert pfl.split_ratio == pytest.approx(0.8)
 
 
@@ -146,6 +152,47 @@ def test_snapshot_round_trips_every_knob(tmp_path):
         for key, value in PERSONALIZATION_KNOBS.items():
             assert recorded[key] == value, (alg, key)
     json.dumps(snap)  # must be JSON-serializable as written
+
+
+# A value other than the default for every DEFAULTS key, by section.
+EVERY_KEY = {
+    "run": {"seed": "5", "workers": "2", "out_dir": "runs/every"},
+    "dataset": {"source": "idx", "classes": "3", "channels": "2", "per_class": "7", "test_per_class": "6",
+                "noise": "0.3", "center_jitter": "1.5", "train_images": "ti", "train_labels": "tl",
+                "test_images": "si", "test_labels": "sl"},
+    "model": {"architecture": "mlp", "hidden_sizes": "16, 8"},
+    "partition": {"clients": "4", "concentration": "0.7"},
+    "federation": {"rounds": "3", "participation": "0.4", "local_epochs": "2", "local_batch": "8", "lr": "0.02",
+                   "momentum": "0.3", "weight_decay": "0.001", "weighting": "uniform", "eval_interval": "2"},
+    "local_baseline": {"epochs": "11", "lr": "0.2", "momentum": "0.8", "weight_decay": "0.003", "batch": "12",
+                       "lr_decay_factor": "0.5", "lr_decay_every": "4"},
+    "personalization": {key: str(value) for key, value in PERSONALIZATION_KNOBS.items()},
+    "personalization.pfl_mfe": {"gate_lr": "0.006", "adapt_momentum": "0.1"},
+}
+
+
+def test_every_key_reaches_the_object_its_trainer_reads(tmp_path):
+    assert {s: set(keys) for s, keys in EVERY_KEY.items() if "." not in s} == {s: set(k) for s, k in DEFAULTS.items()}
+    for section, keys in EVERY_KEY.items():
+        base = DEFAULTS[section.split(".")[0]]
+        assert all(value != base[key] for key, value in keys.items()), section
+    path = tmp_path / "every.ini"
+    path.write_text("".join(f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                            for section, keys in EVERY_KEY.items()))
+    cfg = load_config(path)
+    assert (cfg.seed, cfg.workers, cfg.out_dir) == (5, 2, Path("runs/every"))
+    idx_paths = {"train_images": "ti", "train_labels": "tl", "test_images": "si", "test_labels": "sl"}
+    assert cfg.dataset == DatasetConfig("idx", 3, 2, 7, 6, 0.3, 1.5, idx_paths)
+    assert cfg.model == ModelSpec("mlp", channels=2, side=32, classes=3, hidden_sizes=(16, 8))
+    assert cfg.partition == PartitionSpec(4, 0.7, seed=derive_seed(5, 1))
+    assert cfg.federation == FedConfig(3, 0.4, 2, 8, SgdConfig(0.02, 0.3, 0.001), derive_seed(5, 2), "uniform", 2)
+    assert cfg.local_baseline == LocalBaselineConfig(11, SgdConfig(0.2, 0.8, 0.003, 0.5, 4), 12)
+    for alg in ("pfl_ft", "pfl_fb", "pfl_mf"):
+        assert cfg.personalization[alg] == PersonalizationConfig(alg, 7, SgdConfig(0.003, 0.6, 0.002),
+                                                                 SgdConfig(0.004), 9, 0.7)
+    # A dotted section overrides one optimizer's keys and leaves the rest.
+    assert cfg.personalization["pfl_mfe"] == PersonalizationConfig("pfl_mfe", 7, SgdConfig(0.003, 0.1, 0.002),
+                                                                   SgdConfig(0.006), 9, 0.7)
 
 
 @pytest.mark.parametrize("section, key, value", [

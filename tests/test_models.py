@@ -77,9 +77,9 @@ class TestForwardAndSplit:
 
     def test_lenet_feature_dim_is_400(self):
         model = models.build_model(lenet_spec(), seed=3)
-        x = Tensor(np.random.default_rng(42).uniform(size=(1, 32, 32)))
+        x = Tensor(np.random.default_rng(42).uniform(size=(1, 1, 32, 32)))
         feats = models.extract_features(model, x)
-        assert feats.shape == (400,)
+        assert feats.shape == (1, 400)
 
     def test_zero_input_zero_bias_gives_zero_features(self):
         spec = lenet_spec()
@@ -118,6 +118,13 @@ class TestForwardAndSplit:
         with pytest.raises(DimensionError):
             models.forward(model, Tensor(np.zeros((1, 3, 32, 32))))
 
+    def test_one_example_without_its_batch_axis_is_a_dimension_error(self):
+        model = models.build_model(lenet_spec(), seed=0)
+        with pytest.raises(DimensionError, match="model input"):
+            models.forward(model, Tensor(np.zeros((1, 32, 32))))
+        with pytest.raises(DimensionError, match="features"):
+            models.classify(model, Tensor(np.zeros(400)))
+
 
 def block_size(spec):
     return max(1, models.BUDGET // models.per_image_doubles(spec))
@@ -139,9 +146,9 @@ class TestInferenceBlocks:
         spec = lenet_spec()
         model = models.build_model(spec, seed=10)
         x = np.random.default_rng(48).uniform(size=(5, *spec.input_shape))
-        want = [models.forward(model, Tensor(x[i])).data for i in range(5)]
+        want = [models.forward(model, Tensor(x[i : i + 1])).data for i in range(5)]
         monkeypatch.setattr(models, "BUDGET", 1000)
-        assert np.array_equal(models.forward(model, Tensor(x)).data, np.stack(want))
+        assert np.array_equal(models.forward(model, Tensor(x)).data, np.concatenate(want))
 
     @pytest.mark.parametrize("call", [models.forward, models.extract_features], ids=["forward", "features"])
     def test_equals_the_calls_on_the_rule_slices(self, call):
@@ -243,14 +250,16 @@ class TestGating:
 
 
 class TestMixOutputs:
-    def test_boundary_one_returns_global(self):
+    def test_boundary_one_returns_global(self, clamp_gate):
         client, raw, feats = tiny_client()
-        _, mixed = personalization.mixture(client, raw, feats, gate_override=1.0)
+        g, mixed = personalization.mixture(clamp_gate(client, 1), raw, feats)
+        assert g.tolist() == [1.0, 1.0, 1.0]
         assert np.array_equal(mixed.data, models.classify(client.global_model, feats).data)
 
-    def test_boundary_zero_returns_local(self):
+    def test_boundary_zero_returns_local(self, clamp_gate):
         client, raw, feats = tiny_client()
-        _, mixed = personalization.mixture(client, raw, feats, gate_override=0.0)
+        g, mixed = personalization.mixture(clamp_gate(client, 0), raw, feats)
+        assert g.tolist() == [0.0, 0.0, 0.0]
         assert np.array_equal(mixed.data, models.classify(client.global_model, feats, classifier=client.personalized).data)
 
     def test_midpoint(self):
@@ -270,8 +279,3 @@ class TestMixOutputs:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             graph.mix(graph.const(np.full(3, 0.5)), graph.const(np.zeros((3, 2))), graph.const(np.zeros((4, 2))))
-
-    def test_out_of_range_scalar(self):
-        client, raw, feats = tiny_client()
-        with pytest.raises(ValueError):
-            personalization.mixture(client, raw, feats, gate_override=1.5)

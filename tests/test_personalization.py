@@ -18,9 +18,9 @@ def client_dataset(seed=0, per_class=15, classes=4, **kwargs):
     return data.make_synthetic(classes=classes, per_class=per_class, seed=seed, **kwargs)
 
 
-def pcfg(algorithm, **kwargs):
-    defaults = dict(epochs=3, adapt_lr=0.01, gate_lr=0.05, batch_size=16, split_ratio=0.8,
-                    adapt_momentum=0.9, adapt_weight_decay=0.0005)
+def pcfg(algorithm, adapt_lr=0.01, gate_lr=0.05, **kwargs):
+    defaults = dict(epochs=3, batch_size=16, split_ratio=0.8,
+                    adapt=SgdConfig(adapt_lr, momentum=0.9, weight_decay=0.0005), gate=SgdConfig(gate_lr))
     defaults.update(kwargs)
     return personalization.PersonalizationConfig(algorithm, **defaults)
 
@@ -40,7 +40,7 @@ def fit_gate(mode, inputs, global_logits, local_logits, labels, cfg, seed):
     loss_fn = personalization.gate_loss(inputs, global_logits, local_logits, labels)
     state, rng = OptimizerState(), np.random.default_rng(seed)
     for _ in range(cfg.epochs):
-        gate = federation.sgd_epoch(gate, [len(labels)], cfg.batch_size, loss_fn, state, cfg.gate_sgd(), [rng])
+        gate = federation.sgd_epoch(gate, [len(labels)], cfg.batch_size, loss_fn, state, cfg.gate, [rng])
     return {name: Tensor(a[0]) for name, a in gate.items()}
 
 
@@ -50,9 +50,9 @@ def heads(algorithm, glob, ds, cfg, seed, client_id=0, gate_data=None):
     return personalization.personalize_heads(algorithm, glob, [client], cfg)[0]
 
 
-def mix(client, x, gate_override=None):
+def mix(client, x):
     """The mixture of a batch, given the global extractor's features of it."""
-    return personalization.mixture(client, x, models.extract_features(client.global_model, x), gate_override)
+    return personalization.mixture(client, x, models.extract_features(client.global_model, x))
 
 
 def mean_gate(client, ds):
@@ -110,7 +110,7 @@ class TestPflFt:
         names = list(glob.tensors)
         grads = graph.gradient(loss, [leaves[k] for k in names])
         start = {k: t.data.copy() for k, t in glob.tensors.items()}
-        want = sgd_step(start, dict(zip(names, grads)), OptimizerState(), cfg.adapt_sgd())
+        want = sgd_step(start, dict(zip(names, grads)), OptimizerState(), cfg.adapt)
         assert all(np.array_equal(out.personalized[k].data, want[k]) for k in names)
 
     def test_adaptation_loss_non_increasing(self):
@@ -316,18 +316,18 @@ class TestMoePredict:
                        gate_data=ds.subset(s.gate_indices))
         return client, ds
 
-    def test_gate_override_one_matches_global_model(self):
+    def test_gate_override_one_matches_global_model(self, clamp_gate):
         client, ds = self.trained_client()
         x = ds.features
-        _, forced = mix(client, x, gate_override=1.0)
+        _, forced = mix(clamp_gate(client, 1), x)
         glob_params = client.global_model
         want = models.forward(glob_params, x)
         assert np.array_equal(forced.data.argmax(axis=1), want.data.argmax(axis=1))
 
-    def test_gate_override_zero_matches_personalized_model(self):
+    def test_gate_override_zero_matches_personalized_model(self, clamp_gate):
         client, ds = self.trained_client()
         x = ds.features
-        _, forced = mix(client, x, gate_override=0.0)
+        _, forced = mix(clamp_gate(client, 0), x)
         feats = models.extract_features(client.global_model, x)
         want = models.classify(client.global_model, feats, classifier=client.personalized)
         assert np.array_equal(forced.data.argmax(axis=1), want.data.argmax(axis=1))
