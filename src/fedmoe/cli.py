@@ -23,24 +23,17 @@ import numpy as np
 
 from . import __version__, checkpoint, data, evaluation, federation, models, personalization
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, DegenerateClientError, FedmoeError
-from .federation import derive_seed
+from .errors import ConfigError, FedmoeError
+from .federation import SEED_DATA, derive_seed
 from .fileio import BoundedReader, atomic_open, make_dir, read_json
-from .numerics.tensor import Tensor
 
 log = logging.getLogger("fedmoe")
-
-# Spawn-key namespaces for deriving per-purpose seeds from the global seed.
-_SEED_DATA = 10
-_SEED_LOCAL = 3
-_SEED_SPLIT = 4
-_SEED_PERSONALIZE = 5
 
 
 def build_datasets(cfg: ExperimentConfig) -> tuple[data.LabeledDataset, data.LabeledDataset]:
     """Materialize (train, test) from the configured source."""
     if cfg.dataset.source == "synthetic":
-        seed = derive_seed(cfg.seed, _SEED_DATA)
+        seed = derive_seed(cfg.seed, SEED_DATA)
         kwargs = dict(
             classes=cfg.dataset.classes,
             channels=cfg.dataset.channels,
@@ -204,52 +197,6 @@ def _metrics_records(cfg: ExperimentConfig, algorithm: str, train: data.LabeledD
     ]
 
 
-def _personalize_full(
-    cfg: ExperimentConfig,
-    algorithm: str,
-    client_id: int,
-    indices,
-    train: data.LabeledDataset,
-    global_params: models.ModelParams,
-) -> personalization.PersonalizedClient:
-    """Train one client's full model (local or pfl_ft)."""
-    client_ds = train.subset(list(indices))
-    if algorithm == "local":
-        trained = personalization.train_local_baseline(
-            client_ds,
-            cfg.model,
-            seed=derive_seed(cfg.seed, _SEED_LOCAL, client_id),
-            epochs=cfg.local_baseline.epochs,
-            sgd=cfg.local_baseline.sgd,
-            batch_size=cfg.local_baseline.batch,
-            client_id=client_id,
-        )
-        return personalization.PersonalizedClient(client_id, "local", trained.tensors, None, global_params)
-    seed = derive_seed(cfg.seed, _SEED_PERSONALIZE, client_id)
-    return personalization.pfl_ft(global_params, client_ds, cfg.personalization[algorithm], seed, client_id)
-
-
-def _head_clients(cfg: ExperimentConfig, algorithm: str, partition, train: data.LabeledDataset):
-    """The clients of a head-training stack, each subset built when read."""
-    for cid, indices in enumerate(partition.clients):
-        seed = derive_seed(cfg.seed, _SEED_PERSONALIZE, cid)
-        if algorithm == "pfl_fb":
-            yield personalization.HeadClient(cid, seed, train.subset(list(indices)))
-            continue
-        try:
-            client_split = data.split_per_gate(
-                indices, cfg.personalization[algorithm].split_ratio, derive_seed(cfg.seed, _SEED_SPLIT, cid)
-            )
-        except DegenerateClientError as e:
-            raise DegenerateClientError(
-                f"{algorithm}: client {cid}: {e}; {algorithm} splits each client into an adaptation and a "
-                "gate set, so lower partition.clients or raise partition.concentration"
-            ) from e
-        yield personalization.HeadClient(
-            cid, seed, train.subset(client_split.per_indices), train.subset(client_split.gate_indices)
-        )
-
-
 # The parts of a run's config that fedavg's checkpoint depends on.
 _FEDAVG_CONFIG = ("seed", "dataset", "model", "partition", "federation")
 
@@ -296,24 +243,7 @@ def _check_checkpoint(cfg: ExperimentConfig, ckpt_path: Path) -> None:
             )
 
 
-def _per_class_accuracy(client: personalization.PersonalizedClient, test: data.LabeledDataset,
-                        features: Tensor | None) -> np.ndarray:
-    """A client's per-class test accuracy. ``features`` are the shared
-    extractor's test-set activations (None for the full models of ``local``
-    and ``pfl_ft``)."""
-    if features is None:
-        params = models.ModelParams(client.global_model.spec, client.personalized)
-        return evaluation.per_class_accuracy(lambda x: models.forward(params, x), test)
-    if client.gate is None:
-        logits = models.classify(client.global_model, features, classifier=client.personalized)
-    else:
-        _, logits = personalization.mixture(client, test.features, features)
-    return evaluation.per_class_accuracy_from_predictions(np.argmax(logits.data, axis=1), test)
-
-
 def cmd_personalize(cfg: ExperimentConfig, algorithm: str) -> int:
-    if algorithm not in personalization.ALGORITHMS:
-        raise ConfigError(f"algorithm: expected one of {personalization.ALGORITHMS}, got {algorithm!r}")
     train, test = build_datasets(cfg)
     partition = load_partition(cfg, train)
     ckpt_path = cfg.out_dir / "checkpoint.ckpt"
@@ -324,18 +254,10 @@ def cmd_personalize(cfg: ExperimentConfig, algorithm: str) -> int:
             f"checkpoint model spec {global_params.spec} does not match configured {cfg.model}"
         )
     is_moe = algorithm in personalization.MOE_ALGORITHMS
-
-    if algorithm in ("local", "pfl_ft"):
-        def work(cid: int) -> personalization.PersonalizedClient:
-            return _personalize_full(cfg, algorithm, cid, partition.clients[cid], train, global_params)
-
-        clients = federation.client_map(work, range(len(partition)), cfg.workers)
-        features = None
-    else:
-        clients = personalization.personalize_heads(
-            algorithm, global_params, _head_clients(cfg, algorithm, partition, train),
-            cfg.personalization[algorithm], cfg.workers,
-        )
+    clients = personalization.personalize(cfg, algorithm, global_params, train, partition)
+    # The full models of local and pfl_ft read no shared features.
+    features = None
+    if algorithm in personalization.HEAD_ALGORITHMS:
         features = models.extract_features(global_params, test.features)
 
     artifact_dir = cfg.out_dir / "clients" / algorithm
@@ -343,7 +265,7 @@ def cmd_personalize(cfg: ExperimentConfig, algorithm: str) -> int:
     scores = []
     for client in clients:
         cid = client.client_id
-        per_class = _per_class_accuracy(client, test, features)
+        per_class = evaluation.per_class_accuracy(lambda x: personalization.predict(client, x, features), test)
         global_acc = float(np.nansum(per_class * test.class_counts()) / len(test))
         scores.append((cid, per_class, global_acc, client.mean_g))
         artifact = dict(client.personalized)

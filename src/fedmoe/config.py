@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .data import PartitionSpec
 from .errors import ConfigError
-from .federation import FedConfig, derive_seed
+from .federation import SEED_FEDERATION, SEED_PARTITION, FedConfig, derive_seed
 from .models import ModelSpec
 from .numerics.optim import SgdConfig
 from .personalization import ALGORITHMS, PersonalizationConfig
@@ -232,8 +232,8 @@ def load_config(path, seed_override: int | None = None, workers_override: int | 
     return ExperimentConfig(
         dataset=dataset,
         model=model.build(ModelSpec, channels=dataset.channels, side=32, classes=dataset.classes),
-        partition=part.build(PartitionSpec, seed=derive_seed(seed, 1)),
-        federation=fed.build(FedConfig, seed=derive_seed(seed, 2)),
+        partition=part.build(PartitionSpec, seed=derive_seed(seed, SEED_PARTITION)),
+        federation=fed.build(FedConfig, seed=derive_seed(seed, SEED_FEDERATION)),
         local_baseline=local.build(LocalBaselineConfig),
         personalization={alg: section.build(PersonalizationConfig, algorithm=alg) for alg, section in adapted.items()},
         out_dir=Path(run.value("out_dir") if out_override is None else out_override),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -134,6 +135,12 @@ def dirichlet_partition(ds: LabeledDataset, spec: PartitionSpec) -> ClientPartit
     return ClientPartition(tuple(tuple(sorted(b)) for b in buckets))
 
 
+def ceil_share(fraction: float, n: int) -> int:
+    """ceil(fraction * n) for the decimal ``fraction`` as written: in floats
+    0.07 * 100 is 7.000000000000001, whose ceiling would be 8."""
+    return math.ceil(Fraction(repr(float(fraction))) * n)
+
+
 def split_per_gate(client_indices, ratio: float, seed: int) -> ClientSplit:
     """Seeded shuffle, then ceil(ratio*n) indices to the adaptation subset.
 
@@ -147,7 +154,7 @@ def split_per_gate(client_indices, ratio: float, seed: int) -> ClientSplit:
         raise DegenerateClientError(f"cannot split a client with {idx.size} example(s)")
     rng = np.random.default_rng(seed)
     rng.shuffle(idx)
-    n_per = min(int(np.ceil(ratio * idx.size)), idx.size - 1)
+    n_per = min(ceil_share(ratio, idx.size), idx.size - 1)
     return ClientSplit(
         per_indices=tuple(sorted(idx[:n_per].tolist())),
         gate_indices=tuple(sorted(idx[n_per:].tolist())),

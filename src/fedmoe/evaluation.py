@@ -51,11 +51,7 @@ def per_class_accuracy(predictor: Predictor, test_set: LabeledDataset) -> np.nda
     ``local_test_from_per_class(per_class_accuracy(predictor, test_set), ratios)``,
     so one call serves every client.
     """
-    return per_class_accuracy_from_predictions(predict_labels(predictor, test_set), test_set)
-
-
-def per_class_accuracy_from_predictions(pred: np.ndarray, test_set: LabeledDataset) -> np.ndarray:
-    """Per-class accuracy of predicted labels for the test set's examples."""
+    pred = predict_labels(predictor, test_set)
     correct = np.bincount(test_set.labels[pred == test_set.labels], minlength=test_set.classes)
     counts = test_set.class_counts()
     with np.errstate(invalid="ignore"):

@@ -10,7 +10,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .data import ClientPartition, LabeledDataset
+from .data import ClientPartition, LabeledDataset, ceil_share
 from .errors import ConfigError, DimensionError, DivergenceError, UsageError
 from .models import ModelParams, ModelSpec, build_model, forward_graph
 from .numerics import graph
@@ -98,6 +98,12 @@ def client_map(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[R
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))
+
+
+# The run seed's spawn keys, one per purpose: the partition, the federation, a
+# client's ``local`` initialisation, its gate split (``derive_seed(seed,
+# SEED_SPLIT, cid)``) and its personalization shuffles, and the synthetic data.
+SEED_PARTITION, SEED_FEDERATION, SEED_LOCAL, SEED_SPLIT, SEED_PERSONALIZE, SEED_DATA = 1, 2, 3, 4, 5, 10
 
 
 def derive_seed(root: int, *key: int) -> int:
@@ -277,7 +283,7 @@ def aggregate(updates: Sequence[ClientUpdate], weighting: str = "sample") -> Mod
 
 def sample_clients(n_clients: int, participation: float, round_index: int, seed: int) -> tuple[int, ...]:
     """Sample ceil(participation * N) distinct clients for one round."""
-    count = int(np.ceil(participation * n_clients))
+    count = ceil_share(participation, n_clients)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(round_index,)))
     return tuple(sorted(rng.choice(n_clients, size=count, replace=False).tolist()))
 

@@ -13,7 +13,6 @@ from .numerics import graph
 from .numerics.tensor import Tensor
 
 ARCHITECTURES = ("lenet5", "mlp")
-GATE_INPUT_MODES = ("raw", "feature")
 
 LENET5_FEATURE_DIM = 400  # 16 filters x 5 x 5 after the second pool
 
@@ -257,18 +256,3 @@ def classify(model: ModelParams, a: Tensor, classifier: dict[str, Tensor] | None
     if a.ndim != 2 or a.shape[1] != dim:
         raise DimensionError(f"features {a.shape} do not match feature_dim {dim}")
     return Tensor._wrap(classify_graph(model.spec, param_consts(head), graph.const(a.data)).data)
-
-
-def gate_input_dim(spec: ModelSpec, input_mode: str) -> int:
-    if input_mode == "raw":
-        return spec.raw_input_dim
-    if input_mode == "feature":
-        return spec.feature_dim
-    raise ConfigError(f"input_mode: expected one of {GATE_INPUT_MODES}, got {input_mode!r}")
-
-
-def init_gate(spec: ModelSpec, input_mode: str) -> dict[str, Tensor]:
-    """Zero-initialized gate ``{"weight": (input_dim, 1), "bias": (1,)}``,
-    so the first mixing weight is 0.5 everywhere."""
-    dim = gate_input_dim(spec, input_mode)
-    return {"weight": Tensor._wrap(np.zeros((dim, 1))), "bias": Tensor._wrap(np.zeros(1))}

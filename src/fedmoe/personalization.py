@@ -15,23 +15,19 @@ client's head (and gate) trains on cached features, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from .data import LabeledDataset
-from .errors import ConfigError, UsageError
-from .federation import LossFn, check_workers, client_map, sgd_epoch, sgd_epochs
+# Called through the module, so a wrapper set on the attribute (bench/tracing.py) sees each call.
+from . import data, models
+from .data import ClientPartition, LabeledDataset
+from .errors import ConfigError, DegenerateClientError, UsageError
+from .federation import (
+    SEED_LOCAL, SEED_PERSONALIZE, SEED_SPLIT, LossFn, check_workers, client_map, derive_seed, sgd_epoch, sgd_epochs,
+)
 from .models import (
-    ModelParams,
-    ModelSpec,
-    build_model,
-    classify,
-    classify_graph,
-    extract_features,
-    gate_graph,
-    init_gate,
-    param_consts,
+    ModelParams, ModelSpec, build_model, classify, classify_graph, extract_features, gate_graph, param_consts,
 )
 from .numerics import graph
 from .numerics.optim import OptimizerState, SgdConfig
@@ -40,11 +36,16 @@ from .numerics.optim import OptimizerState, SgdConfig
 from .numerics.optim import sgd_step  # noqa: F401
 from .numerics.tensor import Tensor
 
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
+
 ALGORITHMS = ("local", "pfl_ft", "pfl_fb", "pfl_mf", "pfl_mfe")
 # What each expert-mixing algorithm's gate reads: the flattened raw inputs
 # (PFL-MF) or the shared extractor's features (PFL-MFE).
 GATE_INPUT = {"pfl_mf": "raw", "pfl_mfe": "feature"}
 MOE_ALGORITHMS = tuple(GATE_INPUT)
+# The algorithms that freeze the extractor and train a head on its features.
+HEAD_ALGORITHMS = ("pfl_fb", *MOE_ALGORITHMS)
 
 
 @dataclass(frozen=True)
@@ -188,11 +189,6 @@ def _cache(model: ModelParams, client: HeadClient, algorithm: str) -> _Cached:
     )
 
 
-def _stack(tensors: dict[str, Tensor], k: int) -> dict[str, np.ndarray]:
-    """k writable copies of each tensor, stacked on a leading client axis."""
-    return {name: np.repeat(t.data[None], k, axis=0) for name, t in tensors.items()}
-
-
 def _unstack(stack: dict[str, np.ndarray], k: int) -> dict[str, Tensor]:
     """Client k's frozen slice of every stacked array."""
     return {name: Tensor._wrap(a[k]) for name, a in stack.items()}
@@ -211,7 +207,8 @@ def _train_heads(
     classifier and the extractor never change; the extractor being shared
     lets every pass reuse cached activations.
     """
-    heads = _stack(model.classifier, len(cached))
+    # Writable copies of the global head, stacked on a leading client axis.
+    heads = {name: np.repeat(t.data[None], len(cached), axis=0) for name, t in model.classifier.items()}
     adapt_loss = _head_loss(model.spec, np.concatenate([c.features for c in cached]),
                             np.concatenate([c.labels for c in cached]))
     sizes, ids = [len(c.labels) for c in cached], [c.client_id for c in cached]
@@ -219,8 +216,9 @@ def _train_heads(
     adapt_state = OptimizerState()
     mode = GATE_INPUT.get(algorithm)
     if mode is not None:
-        gates = _stack(init_gate(model.spec, mode), len(cached))
         gate_inputs = np.concatenate([c.gate_inputs for c in cached])
+        # Zero gates, so every first mixing weight is 0.5.
+        gates = {"weight": np.zeros((len(cached), gate_inputs.shape[1], 1)), "bias": np.zeros((len(cached), 1))}
         global_logits = np.concatenate([c.global_logits for c in cached])
         gate_labels = np.concatenate([c.gate_labels for c in cached])
         gate_sizes = [len(c.gate_labels) for c in cached]
@@ -261,7 +259,7 @@ def personalize_heads(
     contiguous slice. ``workers`` threads each train a strided shard of that
     order; a client's result does not depend on its shard.
     """
-    if algorithm not in ("pfl_fb", *MOE_ALGORITHMS):
+    if algorithm not in HEAD_ALGORITHMS:
         raise ConfigError(f"algorithm: personalize_heads trains pfl_fb, pfl_mf or pfl_mfe, got {algorithm!r}")
     check_workers(workers)
     cached = [_cache(model, c, algorithm) for c in clients]
@@ -299,3 +297,60 @@ def mixture(client: PersonalizedClient, raw: Tensor, features: Tensor) -> tuple[
     local_out = classify(client.global_model, features, classifier=client.personalized)
     mixed = graph.mix(graph.const(g), graph.const(global_out), graph.const(local_out))
     return Tensor._wrap(g), Tensor._wrap(mixed.data)
+
+
+def predict(client: PersonalizedClient, raw: Tensor, features: Tensor | None) -> Tensor:
+    """Any client's logits for a batch ``raw`` (B, C, S, S). ``features`` are
+    the shared extractor's activations of it, which the full models of
+    ``local`` and ``pfl_ft`` do not read (pass None there)."""
+    if client.algorithm not in HEAD_ALGORITHMS:
+        return models.forward(ModelParams(client.global_model.spec, client.personalized), raw)
+    if features is None:
+        raise UsageError(f"client {client.client_id} ({client.algorithm}) predicts from the extractor's features")
+    if client.gate is None:
+        return models.classify(client.global_model, features, classifier=client.personalized)
+    return mixture(client, raw, features)[1]
+
+
+def _head_clients(cfg: ExperimentConfig, algorithm: str, train: LabeledDataset,
+                  partition: ClientPartition) -> Iterator[HeadClient]:
+    """The clients of a head-training stack, each subset built when read."""
+    for cid, indices in enumerate(partition.clients):
+        seed = derive_seed(cfg.seed, SEED_PERSONALIZE, cid)
+        if algorithm == "pfl_fb":
+            yield HeadClient(cid, seed, train.subset(list(indices)))
+            continue
+        try:
+            split = data.split_per_gate(indices, cfg.personalization[algorithm].split_ratio,
+                                        derive_seed(cfg.seed, SEED_SPLIT, cid))
+        except DegenerateClientError as e:
+            raise DegenerateClientError(
+                f"{algorithm}: client {cid}: {e}; {algorithm} splits each client into an adaptation and a "
+                "gate set, so lower partition.clients or raise partition.concentration"
+            ) from e
+        yield HeadClient(cid, seed, train.subset(split.per_indices), train.subset(split.gate_indices))
+
+
+def personalize(cfg: ExperimentConfig, algorithm: str, model: ModelParams, train: LabeledDataset,
+                partition: ClientPartition) -> list[PersonalizedClient]:
+    """One algorithm for every client of ``partition`` from the global
+    ``model``, in partition order. Client c's ``local`` model starts from
+    spawn key (SEED_LOCAL, c) of the run seed; the other algorithms shuffle
+    from (SEED_PERSONALIZE, c), and pfl_mf / pfl_mfe split by (SEED_SPLIT, c)."""
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"algorithm: expected one of {ALGORITHMS}, got {algorithm!r}")
+    if algorithm in HEAD_ALGORITHMS:
+        clients = _head_clients(cfg, algorithm, train, partition)
+        return personalize_heads(algorithm, model, clients, cfg.personalization[algorithm], cfg.workers)
+
+    def work(cid: int) -> PersonalizedClient:
+        client_data = train.subset(list(partition.clients[cid]))
+        if algorithm == "pfl_ft":
+            seed = derive_seed(cfg.seed, SEED_PERSONALIZE, cid)
+            return pfl_ft(model, client_data, cfg.personalization[algorithm], seed, cid)
+        lb = cfg.local_baseline
+        trained = train_local_baseline(client_data, model.spec, derive_seed(cfg.seed, SEED_LOCAL, cid), lb.epochs,
+                                       lb.sgd, lb.batch, cid)
+        return PersonalizedClient(cid, "local", trained.tensors, None, model)
+
+    return client_map(work, range(len(partition)), cfg.workers)

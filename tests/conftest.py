@@ -19,6 +19,11 @@ def pytest_runtest_logreport(report):
         sys.stderr.write(f"\n[acceptance] {name}: SKIP\n")
 
 
+def zero_gate(dim):
+    """A gate ``{"weight": (dim, 1), "bias": (1,)}`` of zeros: g = 0.5 on every input."""
+    return {"weight": Tensor(np.zeros((dim, 1))), "bias": Tensor(np.zeros(1))}
+
+
 @pytest.fixture
 def clamp_gate():
     """``clamp_gate(client, g)``: the mixture client with a gate that gives

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import zero_gate
 from fedmoe import cli, data, evaluation, federation, models, personalization
 from fedmoe.config import load_config
 from fedmoe.numerics import SgdConfig, Tensor, graph
@@ -296,7 +297,7 @@ def test_criterion_6_gate_safety():
         feats = models.extract_features(glob, gate_ds.features).data
         glog = models.classify(glob, Tensor._wrap(feats)).data
         llog = models.classify(glob, Tensor._wrap(feats), classifier=corrupted).data
-        gate = {name: t.data[None].copy() for name, t in models.init_gate(spec, "raw").items()}
+        gate = {name: t.data[None].copy() for name, t in zero_gate(spec.raw_input_dim).items()}
         state = OptimizerState()
         gate_rng = np.random.default_rng(7)
         inputs = gate_ds.features.data.reshape(len(gate_ds), -1)

@@ -108,6 +108,11 @@ class TestSplitPerGate:
         split = data.split_per_gate(range(10), ratio=0.9, seed=0)
         assert len(split.per_indices) == 9 and len(split.gate_indices) == 1
 
+    @pytest.mark.parametrize("ratio, n, per", [(0.55, 100, 55), (0.07, 100, 7), (0.14, 50, 7), (0.8, 70_000, 56_000)])
+    def test_ceiling_of_the_ratio_as_written(self, ratio, n, per):
+        # In floats 0.55 * 100 is 55.00000000000001, whose ceiling is 56.
+        assert len(data.split_per_gate(range(n), ratio=ratio, seed=0).per_indices) == per
+
     def test_same_seed_same_split(self):
         a = data.split_per_gate(range(20), ratio=0.8, seed=42)
         b = data.split_per_gate(range(20), ratio=0.8, seed=42)

@@ -263,6 +263,16 @@ class TestSampling:
         assert len(chosen) == 3
         assert len(set(chosen)) == 3
 
+    @pytest.mark.parametrize("n, participation", [(100, 0.07), (50, 0.14), (25, 0.28)])
+    def test_sample_size_is_the_ceiling_of_the_participation_as_written(self, n, participation):
+        # In floats each product is 7.000000000000001, whose ceiling is 8.
+        assert len(federation.sample_clients(n, participation, round_index=0, seed=0)) == 7
+
+    def test_seed_namespaces_are_distinct(self):
+        keys = (federation.SEED_PARTITION, federation.SEED_FEDERATION, federation.SEED_LOCAL,
+                federation.SEED_SPLIT, federation.SEED_PERSONALIZE, federation.SEED_DATA)
+        assert len(set(keys)) == 6
+
     def test_sampling_is_seeded_per_round(self):
         a = federation.sample_clients(100, 0.1, round_index=5, seed=1)
         b = federation.sample_clients(100, 0.1, round_index=5, seed=1)

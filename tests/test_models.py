@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
-from fedmoe import models, personalization
+from conftest import zero_gate
+from fedmoe import data, models, personalization
 from fedmoe.errors import ConfigError, DimensionError
-from fedmoe.numerics import Tensor
+from fedmoe.numerics import SgdConfig, Tensor
 from fedmoe.numerics import graph, kernels
 
 
@@ -192,14 +193,14 @@ def tiny_client():
     spec = mlp_spec(hidden=(8,), classes=4)
     glob = models.build_model(spec, seed=7)
     head = models.build_model(spec, seed=8).classifier
-    client = personalization.PersonalizedClient(0, "pfl_mf", head, models.init_gate(spec, "raw"), glob)
+    client = personalization.PersonalizedClient(0, "pfl_mf", head, zero_gate(spec.raw_input_dim), glob)
     raw = Tensor(np.random.default_rng(47).uniform(size=(3, 1, 32, 32)))
     return client, raw, models.extract_features(glob, raw)
 
 
 class TestGating:
     def test_zero_gate_gives_half(self):
-        gate = models.init_gate(lenet_spec(), "raw")
+        gate = zero_gate(1024)
         assert gate_of(gate, np.zeros((1, 1024))).tolist() == [0.5]
 
     def test_large_bias_saturates(self):
@@ -225,14 +226,23 @@ class TestGating:
         assert g.shape == (3, 5)
         assert np.allclose(g, want, rtol=0.0, atol=1e-12)
 
-    def test_input_dims_per_mode(self):
-        assert models.gate_input_dim(lenet_spec(channels=1), "raw") == 1024
-        assert models.gate_input_dim(lenet_spec(channels=3), "raw") == 3072
-        assert models.gate_input_dim(lenet_spec(), "feature") == 400
-        assert models.gate_input_dim(mlp_spec(hidden=(64,)), "feature") == 64
+    @pytest.mark.parametrize("algorithm, spec, dim", [
+        ("pfl_mf", lenet_spec(channels=1), 1024),
+        ("pfl_mf", lenet_spec(channels=3), 3072),
+        ("pfl_mfe", lenet_spec(), 400),
+        ("pfl_mfe", mlp_spec(hidden=(64,)), 64),
+    ], ids=["mf_gray", "mf_rgb", "mfe_lenet5", "mfe_mlp"])
+    def test_trained_gate_reads_its_algorithms_input(self, algorithm, spec, dim):
+        # pfl_mf's gate reads the flattened raw image, pfl_mfe's the extractor's features.
+        ds = data.make_synthetic(classes=spec.classes, per_class=1, channels=spec.channels, seed=3)
+        cfg = personalization.PersonalizationConfig(algorithm, 1, SgdConfig(0.01), SgdConfig(0.05), 4, 0.5)
+        client = personalization.HeadClient(0, 5, ds.subset(range(6)), ds.subset(range(6, 10)))
+        trained, = personalization.personalize_heads(algorithm, models.build_model(spec, seed=0), [client], cfg)
+        assert trained.gate["weight"].shape == (dim, 1)
+        assert trained.gate["bias"].shape == (1,)
 
     def test_dimension_mismatch(self):
-        gate = models.init_gate(lenet_spec(), "feature")
+        gate = zero_gate(400)
         with pytest.raises(DimensionError):
             gate_of(gate, np.zeros((1, 1024)))
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import zero_gate
 from fedmoe import data, evaluation, federation, models, personalization
+from fedmoe.config import load_config
 from fedmoe.errors import ConfigError, UsageError
 from fedmoe.numerics import SgdConfig, Tensor, graph, kernels
 from fedmoe.numerics.optim import OptimizerState, sgd_step
@@ -33,10 +35,10 @@ def global_model(seed=11):
     return federation.sgd_epochs(params, ds, 12, 16, SgdConfig(learning_rate=0.1), rng), ds
 
 
-def fit_gate(mode, inputs, global_logits, local_logits, labels, cfg, seed):
+def fit_gate(inputs, global_logits, local_logits, labels, cfg, seed):
     """A zero-initialized gate trained on frozen expert logits with the
     production gate loss and SGD epoch."""
-    gate = {name: t.data[None].copy() for name, t in models.init_gate(SPEC, mode).items()}
+    gate = {name: t.data[None].copy() for name, t in zero_gate(inputs.shape[1]).items()}
     loss_fn = personalization.gate_loss(inputs, global_logits, local_logits, labels)
     state, rng = OptimizerState(), np.random.default_rng(seed)
     for _ in range(cfg.epochs):
@@ -165,7 +167,7 @@ class TestPflFb:
 class TestTrainGate:
     def test_zero_init_gives_half_gate(self):
         glob, ds = global_model()
-        gate = models.init_gate(SPEC, "raw")
+        gate = zero_gate(SPEC.raw_input_dim)
         v = ds.features.data.reshape(len(ds), -1)
         assert (gate_weights(gate, v) == 0.5).all()
         client = personalization.PersonalizedClient(0, "pfl_mf", glob.classifier, gate, glob)
@@ -175,7 +177,7 @@ class TestTrainGate:
         glob, ds = global_model()
         cfg = pcfg("pfl_mf", epochs=3)
         logits = models.forward(glob, ds.features).data
-        gate = fit_gate("raw", ds.features.data.reshape(len(ds), -1), logits, logits, ds.labels, cfg, seed=10)
+        gate = fit_gate(ds.features.data.reshape(len(ds), -1), logits, logits, ds.labels, cfg, seed=10)
         assert np.abs(gate["weight"].data).max() == 0.0
         assert gate["bias"].data.tolist() == [0.0]
 
@@ -195,7 +197,7 @@ class TestTrainGate:
         losses = []
         for epochs in (1, 2, 3, 4):
             cfg = pcfg("pfl_mf", epochs=epochs, batch_size=cfg_batch)
-            losses.append(mixed_loss(fit_gate("raw", v, glog, llog, ds.labels, cfg, seed=11)))
+            losses.append(mixed_loss(fit_gate(v, glog, llog, ds.labels, cfg, seed=11)))
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
     def test_feature_mode_dimensions(self):
@@ -371,7 +373,7 @@ class TestGateSafety:
 
         inputs = gate_ds.features.data.reshape(len(gate_ds), -1)
         cfg = pcfg("pfl_mf", epochs=30, batch_size=16, gate_lr=0.1)
-        gate = fit_gate("raw", inputs, glog, llog, gate_ds.labels, cfg, seed=7)
+        gate = fit_gate(inputs, glog, llog, gate_ds.labels, cfg, seed=7)
         client = personalization.PersonalizedClient(0, "pfl_mf", corrupted, gate, glob)
         assert mean_gate(client, gate_ds) > 0.5
 
@@ -389,7 +391,7 @@ class TestConfigValidation:
         glob, _ = global_model()
         with pytest.raises(ConfigError):
             personalization.PersonalizedClient(0, "pfl_fb", dict(glob.classifier),
-                                               models.init_gate(SPEC, "raw"), glob)
+                                               zero_gate(SPEC.raw_input_dim), glob)
         with pytest.raises(ConfigError):
             personalization.PersonalizedClient(0, "pfl_mf", dict(glob.classifier), None, glob)
 
@@ -461,3 +463,76 @@ class TestHeadStack:
         assert [c.client_id for c in one] == [c.client_id for c in clients]
         for a, b in zip(one, three):
             self.assert_same(a, b)
+
+
+PERSONALIZE_INI = """
+[run]
+seed = 23
+
+[dataset]
+classes = 4
+
+[model]
+architecture = mlp
+hidden_sizes = 12
+
+[partition]
+clients = 4
+
+[local_baseline]
+epochs = 2
+batch = 16
+
+[personalization]
+epochs = 2
+batch = 16
+"""
+
+
+class TestPersonalize:
+    """personalize runs one algorithm for every client of a partition."""
+
+    @pytest.fixture
+    def run(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(PERSONALIZE_INI)
+        glob, train = global_model()
+        # Sizes out of order, so the size-ordered head stack is not partition order.
+        order = np.random.default_rng(3).permutation(len(train))
+        partition = data.ClientPartition(tuple(tuple(sorted(c.tolist())) for c in np.split(order, [9, 14, 30])))
+        return load_config(ini), glob, train, partition
+
+    @pytest.mark.parametrize("algorithm", personalization.ALGORITHMS)
+    def test_one_client_per_partition_entry_in_order(self, run, algorithm):
+        cfg, glob, train, partition = run
+        clients = personalization.personalize(cfg, algorithm, glob, train, partition)
+        assert [(c.client_id, c.algorithm) for c in clients] == [(cid, algorithm) for cid in range(4)]
+        features = models.extract_features(glob, train.features)
+        for c in clients:
+            assert personalization.predict(c, train.features, features).shape == (len(train), 4)
+
+    def test_pfl_mf_is_personalize_heads_on_the_seeded_splits(self, run):
+        # Client c shuffles with spawn key (5, c) and splits with (4, c).
+        cfg, glob, train, partition = run
+        pcfg = cfg.personalization["pfl_mf"]
+        hand = []
+        for cid, indices in enumerate(partition.clients):
+            split = data.split_per_gate(indices, pcfg.split_ratio, federation.derive_seed(cfg.seed, 4, cid))
+            hand.append(personalization.HeadClient(cid, federation.derive_seed(cfg.seed, 5, cid),
+                                                   train.subset(split.per_indices), train.subset(split.gate_indices)))
+        want = personalization.personalize_heads("pfl_mf", glob, hand, pcfg)
+        got = personalization.personalize(cfg, "pfl_mf", glob, train, partition)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            TestHeadStack.assert_same(a, b)
+
+    def test_unknown_algorithm_is_config_error(self, run):
+        cfg, glob, train, partition = run
+        with pytest.raises(ConfigError, match="algorithm: expected one of"):
+            personalization.personalize(cfg, "pfl_xx", glob, train, partition)
+
+    def test_head_client_without_features_is_usage_error(self, run):
+        cfg, glob, train, partition = run
+        client, *_ = personalization.personalize(cfg, "pfl_fb", glob, train, partition)
+        with pytest.raises(UsageError, match=r"client 0 \(pfl_fb\) predicts from the extractor's features"):
+            personalization.predict(client, train.features, None)
